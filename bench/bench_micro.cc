@@ -1,4 +1,5 @@
-// Micro benchmarks of the real runtime: kernels, rendezvous, queues,
+// Micro benchmarks of the real runtime: kernels (MatMul in each transpose
+// case and Conv2D with its backprops, as GFLOP/s), rendezvous, queues,
 // variable updates, and the DESIGN.md ablations (sparse gather vs full
 // fetch; fused vs composed optimizer update).
 
@@ -15,31 +16,110 @@
 namespace tfrepro {
 namespace {
 
-void BM_MatMul(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Graph g;
-  GraphBuilder b(&g);
-  Tensor a(DataType::kFloat, TensorShape({n, n}));
-  Tensor c(DataType::kFloat, TensorShape({n, n}));
-  PhiloxRandom rng(1);
-  for (int64_t i = 0; i < n * n; ++i) {
-    a.flat<float>(i) = rng.Uniform();
-    c.flat<float>(i) = rng.Uniform();
+Tensor RandomUniform(const TensorShape& shape, uint64_t seed) {
+  Tensor t(DataType::kFloat, shape);
+  PhiloxRandom rng(seed);
+  for (int64_t i = 0; i < t.num_elements(); ++i) {
+    t.flat<float>(i) = rng.Uniform();
   }
-  Output p = ops::MatMul(&b, ops::Const(&b, a), ops::Const(&b, c));
-  TF_CHECK_OK(b.status());
+  return t;
+}
+
+// Times one session Run of `out` (its inputs are Consts; constant folding is
+// off so the op stays live) and reports `flops` per Run as GFLOP/s.
+void RunKernel(benchmark::State& state, const Graph& g, const Output& out,
+               double flops) {
   SessionOptions options;
-  options.optimizer.do_constant_folding = false;  // keep the matmul live
+  options.optimizer.do_constant_folding = false;
   auto session = DirectSession::Create(g, options);
-  std::vector<Tensor> out;
+  TF_CHECK_OK(session.status());
+  std::vector<Tensor> results;
   for (auto _ : state) {
-    TF_CHECK_OK(session.value()->Run({p.name()}, &out));
+    TF_CHECK_OK(session.value()->Run({out.name()}, &results));
+    benchmark::DoNotOptimize(results[0].data<float>());
   }
   state.counters["gflops"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 2 * n * n * n * 1e-9,
+      static_cast<double>(state.iterations()) * flops * 1e-9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_MatMul)->Arg(64)->Arg(256);
+
+// Args: m, k, n of the product. The 512-wide shapes are the convnet's FC
+// layer (nn forward, tn weight gradient, nt input gradient); 32x16x16 is
+// one serving batch through the 16-wide MLP.
+void BM_MatMul(benchmark::State& state, bool ta, bool tb) {
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  Graph g;
+  GraphBuilder b(&g);
+  Output a = ops::Const(&b, RandomUniform(ta ? TensorShape({k, m})
+                                             : TensorShape({m, k}), 1));
+  Output c = ops::Const(&b, RandomUniform(tb ? TensorShape({n, k})
+                                             : TensorShape({k, n}), 2));
+  Output p = ops::MatMul(&b, a, c, ta, tb);
+  TF_CHECK_OK(b.status());
+  RunKernel(state, g, p, 2.0 * m * k * n);
+}
+BENCHMARK_CAPTURE(BM_MatMul, nn, false, false)
+    ->Args({64, 512, 512})
+    ->Args({32, 16, 16});
+BENCHMARK_CAPTURE(BM_MatMul, tn, true, false)
+    ->Args({512, 64, 512})
+    ->Args({32, 16, 16});
+BENCHMARK_CAPTURE(BM_MatMul, nt, false, true)
+    ->Args({64, 512, 512})
+    ->Args({32, 16, 16});
+
+// One 3x3 SAME stride-1 conv layer of the convnet at batch 64. Args: image
+// side, in channels, out channels ({16, 3, 16} is conv1, {8, 16, 32} conv2).
+Output ConvPass(GraphBuilder* b, const std::string& op, int64_t side,
+                int64_t in, int64_t out) {
+  const TensorShape input({64, side, side, in});
+  const TensorShape filter({3, 3, in, out});
+  const TensorShape output({64, side, side, out});
+  const std::vector<int64_t> strides = {1, 1, 1, 1};
+  if (op == "Conv2D") {
+    return ops::Conv2D(b, ops::Const(b, RandomUniform(input, 1)),
+                       ops::Const(b, RandomUniform(filter, 2)), strides,
+                       "SAME");
+  }
+  const bool input_grad = op == "Conv2DBackpropInput";
+  auto dims = [&](const TensorShape& s) {
+    std::vector<int32_t> d;
+    for (int i = 0; i < s.rank(); ++i) {
+      d.push_back(static_cast<int32_t>(s.dim(i)));
+    }
+    return ops::ConstVecI32(b, d);
+  };
+  Output x = ops::Const(b, RandomUniform(input, 1));
+  Output w = ops::Const(b, RandomUniform(filter, 2));
+  return b->Op(op)
+      .Input(input_grad ? dims(input) : x)
+      .Input(input_grad ? w : dims(filter))
+      .Input(ops::Const(b, RandomUniform(output, 3)))
+      .Attr("T", DataType::kFloat)
+      .Attr("strides", strides)
+      .Attr("padding", "SAME")
+      .Finalize();
+}
+
+void BM_Conv(benchmark::State& state, const std::string& op) {
+  const int64_t side = state.range(0), in = state.range(1),
+                out = state.range(2);
+  Graph g;
+  GraphBuilder b(&g);
+  Output p = ConvPass(&b, op, side, in, out);
+  TF_CHECK_OK(b.status());
+  RunKernel(state, g, p, 2.0 * 64 * side * side * out * 9 * in);
+}
+void BM_Conv2DFwd(benchmark::State& state) { BM_Conv(state, "Conv2D"); }
+void BM_Conv2DBackpropInput(benchmark::State& state) {
+  BM_Conv(state, "Conv2DBackpropInput");
+}
+void BM_Conv2DBackpropFilter(benchmark::State& state) {
+  BM_Conv(state, "Conv2DBackpropFilter");
+}
+BENCHMARK(BM_Conv2DFwd)->Args({16, 3, 16})->Args({8, 16, 32});
+BENCHMARK(BM_Conv2DBackpropInput)->Args({16, 3, 16})->Args({8, 16, 32});
+BENCHMARK(BM_Conv2DBackpropFilter)->Args({16, 3, 16})->Args({8, 16, 32});
 
 void BM_RendezvousSendRecv(benchmark::State& state) {
   LocalRendezvous rendezvous;

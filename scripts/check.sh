@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus a ThreadSanitizer pass over the concurrency-heavy
-# tests (DESIGN.md §8, §9) and a bench smoke against the committed
-# hot-path baseline.
+# tests (DESIGN.md §8, §9), an AddressSanitizer pass over the kernel tests
+# (DESIGN.md §15) and a bench smoke against the committed hot-path
+# baseline.
 #
-#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, bench + profiler + optimizer + input smoke
+#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, ASan kernels, bench + profiler + optimizer + input smoke
 #   scripts/check.sh --tsan-only
+#   scripts/check.sh --asan-kernels
 #   scripts/check.sh --bench-only
 #   scripts/check.sh --socket-only
 #   scripts/check.sh --profiler-only
 #   scripts/check.sh --optimizer-only
 #   scripts/check.sh --input-only
 #
-# The TSan build lives in build-tsan/ so it never pollutes the regular
-# build/ tree.
+# The TSan and ASan builds live in build-tsan/ and build-asan/ so they
+# never pollute the regular build/ tree.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,6 +59,20 @@ run_tsan() {
   for t in "${TSAN_TESTS[@]}"; do
     echo "-- $t (tsan)"
     "build-tsan/tests/$t" ${TSAN_FILTER[$t]:-}
+  done
+}
+
+# ASan over the kernels: the GEMM's packing tails and the im2col/col2im
+# chunk edges are where an out-of-bounds read would come from, and the
+# reference sweeps in kernels_test walk every ragged edge.
+ASAN_TESTS=(kernels_test nn_test gradients_test)
+run_asan_kernels() {
+  echo "== ASan (TFREPRO_SANITIZE=address): ${ASAN_TESTS[*]} =="
+  cmake -B build-asan -S . -DTFREPRO_SANITIZE=address
+  cmake --build build-asan -j "$JOBS" --target "${ASAN_TESTS[@]}"
+  for t in "${ASAN_TESTS[@]}"; do
+    echo "-- $t (asan)"
+    "build-asan/tests/$t"
   done
 }
 
@@ -228,6 +244,9 @@ case "${1:-}" in
   --tsan-only)
     run_tsan
     ;;
+  --asan-kernels)
+    run_asan_kernels
+    ;;
   --bench-only)
     run_bench_smoke
     run_serving_bench_smoke
@@ -248,6 +267,7 @@ case "${1:-}" in
     run_tier1
     run_socket
     run_tsan
+    run_asan_kernels
     run_bench_smoke
     run_serving_bench_smoke
     run_profiler_smoke

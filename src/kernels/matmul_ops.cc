@@ -1,50 +1,12 @@
-// MatMul and bias kernels. The matrix multiply uses a cache-blocked i-k-j
-// loop order — the workhorse of every model in the paper's evaluation.
+// MatMul and bias kernels. MatMul, the workhorse of every model in the
+// paper's evaluation, is the shared packed GEMM (kernels/gemm.h).
 
 #include "kernels/dispatch.h"
+#include "kernels/gemm.h"
 #include "runtime/kernel.h"
 
 namespace tfrepro {
 namespace {
-
-template <typename T>
-void MatMulImpl(const T* a, const T* b, T* c, int64_t m, int64_t k, int64_t n,
-                bool ta, bool tb) {
-  // c[m,n] = a[m,k] (or aT) * b[k,n] (or bT); c is pre-zeroed.
-  auto a_at = [&](int64_t i, int64_t j) { return ta ? a[j * m + i] : a[i * k + j]; };
-  auto b_at = [&](int64_t i, int64_t j) { return tb ? b[j * k + i] : b[i * n + j]; };
-  if (!ta && !tb) {
-    // Fast path: i-k-j with row-major streaming over b and c.
-    constexpr int64_t kBlock = 64;
-    for (int64_t i0 = 0; i0 < m; i0 += kBlock) {
-      int64_t i1 = std::min(m, i0 + kBlock);
-      for (int64_t k0 = 0; k0 < k; k0 += kBlock) {
-        int64_t k1 = std::min(k, k0 + kBlock);
-        for (int64_t i = i0; i < i1; ++i) {
-          for (int64_t kk = k0; kk < k1; ++kk) {
-            T av = a[i * k + kk];
-            if (av == T{0}) continue;
-            const T* brow = b + kk * n;
-            T* crow = c + i * n;
-            for (int64_t j = 0; j < n; ++j) {
-              crow[j] += av * brow[j];
-            }
-          }
-        }
-      }
-    }
-    return;
-  }
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      T acc{0};
-      for (int64_t kk = 0; kk < k; ++kk) {
-        acc += a_at(i, kk) * b_at(kk, j);
-      }
-      c[i * n + j] = acc;
-    }
-  }
-}
 
 class MatMulOp : public OpKernel {
  public:
@@ -70,8 +32,7 @@ class MatMulOp : public OpKernel {
     Tensor out(BaseType(a.dtype()), TensorShape({m, n}));
     OP_REQUIRES_OK(ctx, NumericDispatch(a.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      MatMulImpl<T>(a.data<T>(), b.data<T>(), out.data<T>(), m, k, n, ta_,
-                    tb_);
+      Gemm(a.data<T>(), b.data<T>(), out.data<T>(), m, k, n, ta_, tb_);
     }));
     ctx->set_output(0, std::move(out));
   }
@@ -104,9 +65,9 @@ class BiasAddOp : public OpKernel {
       const T* v = value.data<T>();
       const T* bp = bias.data<T>();
       T* o = out.data<T>();
-      int64_t n = value.num_elements();
-      for (int64_t i = 0; i < n; ++i) {
-        o[i] = v[i] + bp[i % c];
+      const int64_t rows = c == 0 ? 0 : value.num_elements() / c;
+      for (int64_t r = 0; r < rows; ++r, v += c, o += c) {
+        for (int64_t j = 0; j < c; ++j) o[j] = v[j] + bp[j];
       }
     }));
     ctx->set_output(0, std::move(out));
@@ -128,9 +89,9 @@ class BiasAddGradOp : public OpKernel {
       using T = decltype(tag);
       const T* gp = g.data<T>();
       T* o = out.data<T>();
-      int64_t n = g.num_elements();
-      for (int64_t i = 0; i < n; ++i) {
-        o[i % c] += gp[i];
+      const int64_t rows = c == 0 ? 0 : g.num_elements() / c;
+      for (int64_t r = 0; r < rows; ++r, gp += c) {
+        for (int64_t j = 0; j < c; ++j) o[j] += gp[j];
       }
     }));
     ctx->set_output(0, std::move(out));

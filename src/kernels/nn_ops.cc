@@ -1,11 +1,15 @@
 // Neural-network kernels: 2-D convolution and pooling with their gradients
 // (NHWC layout, HWIO filters, SAME/VALID padding), softmax family, and the
-// fused softmax-cross-entropy kernels.
+// fused softmax-cross-entropy kernels. The convolutions are im2col plus the
+// shared GEMM (kernels/gemm.h).
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "kernels/dispatch.h"
+#include "kernels/gemm.h"
 #include "runtime/kernel.h"
 
 namespace tfrepro {
@@ -66,179 +70,197 @@ Status ComputeConv2DParams(const TensorShape& input, const TensorShape& filter,
   return Status::OK();
 }
 
-class Conv2DOp : public OpKernel {
+// Rows of the im2col matrix are output pixels (b, oh, ow) in NHWC order and
+// its k_h*k_w*in_c columns are filter taps in HWIO order, so the matrix
+// times the filter viewed as [k_h*k_w*in_c, out_c] is the convolution.
+// Calls fn(col, in, len) for each run of columns in rows [row0, row0 +
+// rows): the `len` columns from offset `col` of the chunk hold the input
+// from offset `in`, or zeros (padding) when in < 0. Consecutive kw taps
+// read consecutive input pixels, so each filter row is at most three runs.
+template <typename F>
+void ForEachRun(const Conv2DParams& p, int64_t row0, int64_t rows, F&& fn) {
+  const int64_t span = p.k_w * p.in_c;
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t ow = (row0 + r) % p.out_w;
+    const int64_t oh = (row0 + r) / p.out_w % p.out_h;
+    const int64_t b = (row0 + r) / (p.out_w * p.out_h);
+    const int64_t iw0 = ow * p.stride_w - p.pad_left;
+    // Columns [lo, hi) of each filter row fall inside the image.
+    const int64_t lo = std::clamp<int64_t>(-iw0, 0, p.k_w) * p.in_c;
+    const int64_t hi = std::clamp<int64_t>(p.in_w - iw0, 0, p.k_w) * p.in_c;
+    for (int64_t kh = 0; kh < p.k_h; ++kh) {
+      const int64_t ih = oh * p.stride_h + kh - p.pad_top;
+      const int64_t col = (r * p.k_h + kh) * span;
+      if (ih < 0 || ih >= p.in_h) {
+        fn(col, -1, span);
+        continue;
+      }
+      if (lo > 0) fn(col, -1, lo);
+      fn(col + lo, ((b * p.in_h + ih) * p.in_w + iw0) * p.in_c + lo, hi - lo);
+      if (hi < span) fn(col + hi, -1, span - hi);
+    }
+  }
+}
+
+// Scratch bound for one chunk of the im2col matrix (DESIGN.md §15).
+constexpr int64_t kIm2colBytes = 64 << 10;
+
+// Calls fn(row0, rows, col) over the im2col matrix in chunks of whole
+// output rows; col is scratch for rows x k_h*k_w*in_c elements. The full
+// matrix is never materialized. The scratch is on the stack, like the
+// GEMM's packing blocks, so it neither allocates nor pins heap memory; a
+// filter too large for one row of it falls back to a heap row.
+template <typename T, typename F>
+void ForEachChunk(const Conv2DParams& p, F&& fn) {
+  const int64_t kdim = p.k_h * p.k_w * p.in_c;
+  const int64_t total = p.batch * p.out_h * p.out_w;
+  T stack[kIm2colBytes / sizeof(T)];
+  std::vector<T> heap;
+  T* col = stack;
+  int64_t chunk = kIm2colBytes / sizeof(T) / std::max<int64_t>(kdim, 1);
+  if (chunk == 0) {
+    heap.resize(kdim);
+    col = heap.data();
+    chunk = 1;
+  }
+  for (int64_t row0 = 0; row0 < total; row0 += chunk) {
+    fn(row0, std::min(chunk, total - row0), col);
+  }
+}
+
+template <typename T>
+void Im2Col(const Conv2DParams& p, const T* in, int64_t row0, int64_t rows,
+            T* col) {
+  ForEachRun(p, row0, rows, [&](int64_t c, int64_t i, int64_t len) {
+    if (i < 0) {
+      std::fill_n(col + c, len, T{0});
+    } else {
+      std::copy_n(in + i, len, col + c);
+    }
+  });
+}
+
+// The strides/padding attributes shared by Conv2D and its backprops.
+class ConvOpBase : public OpKernel {
  public:
-  explicit Conv2DOp(OpKernelConstruction* ctx) : OpKernel(ctx) {
+  explicit ConvOpBase(OpKernelConstruction* ctx) : OpKernel(ctx) {
     ctx->SetStatus(ctx->GetIntListAttr("strides", &strides_));
     ctx->SetStatus(ctx->GetStringAttr("padding", &padding_));
   }
+
+ protected:
+  Status Params(const TensorShape& input, const TensorShape& filter,
+                Conv2DParams* p) const {
+    return ComputeConv2DParams(input, filter, strides_, padding_, p);
+  }
+
+ private:
+  std::vector<int64_t> strides_;
+  std::string padding_;
+};
+
+// The backprops index `grad` by the forward output's geometry.
+Status CheckGradShape(const Tensor& grad, const Conv2DParams& p) {
+  const TensorShape want({p.batch, p.out_h, p.out_w, p.out_c});
+  if (grad.shape() != want) {
+    return InvalidArgument("Conv2D backprop gradient shape " +
+                           grad.shape().DebugString() + " != output shape " +
+                           want.DebugString());
+  }
+  return Status::OK();
+}
+
+// The shape held by an input_sizes / filter_sizes operand.
+Status SizesToShape(const Tensor& sizes, TensorShape* shape) {
+  if (sizes.num_elements() != 4) {
+    return InvalidArgument("conv sizes operand must have 4 elements");
+  }
+  *shape = TensorShape({sizes.flat<int32_t>(0), sizes.flat<int32_t>(1),
+                        sizes.flat<int32_t>(2), sizes.flat<int32_t>(3)});
+  return Status::OK();
+}
+
+// output = im2col(input) * filter.
+class Conv2DOp : public ConvOpBase {
+ public:
+  using ConvOpBase::ConvOpBase;
   void Compute(OpKernelContext* ctx) override {
     Tensor input = ctx->input(0);
     Tensor filter = ctx->input(1);
     Conv2DParams p;
-    OP_REQUIRES_OK(ctx, ComputeConv2DParams(input.shape(), filter.shape(),
-                                            strides_, padding_, &p));
+    OP_REQUIRES_OK(ctx, Params(input.shape(), filter.shape(), &p));
     Tensor out(BaseType(input.dtype()),
                TensorShape({p.batch, p.out_h, p.out_w, p.out_c}));
     OP_REQUIRES_OK(ctx, FloatDispatch(input.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      const T* in = input.data<T>();
-      const T* f = filter.data<T>();
-      T* o = out.data<T>();
-      for (int64_t b = 0; b < p.batch; ++b) {
-        for (int64_t oh = 0; oh < p.out_h; ++oh) {
-          for (int64_t ow = 0; ow < p.out_w; ++ow) {
-            T* opix = o + ((b * p.out_h + oh) * p.out_w + ow) * p.out_c;
-            for (int64_t kh = 0; kh < p.k_h; ++kh) {
-              int64_t ih = oh * p.stride_h + kh - p.pad_top;
-              if (ih < 0 || ih >= p.in_h) continue;
-              for (int64_t kw = 0; kw < p.k_w; ++kw) {
-                int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                if (iw < 0 || iw >= p.in_w) continue;
-                const T* ipix =
-                    in + ((b * p.in_h + ih) * p.in_w + iw) * p.in_c;
-                const T* fpix = f + (kh * p.k_w + kw) * p.in_c * p.out_c;
-                for (int64_t ic = 0; ic < p.in_c; ++ic) {
-                  T iv = ipix[ic];
-                  if (iv == T{0}) continue;
-                  const T* frow = fpix + ic * p.out_c;
-                  for (int64_t oc = 0; oc < p.out_c; ++oc) {
-                    opix[oc] += iv * frow[oc];
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
+      const int64_t kdim = p.k_h * p.k_w * p.in_c;
+      ForEachChunk<T>(p, [&](int64_t row0, int64_t rows, T* col) {
+        Im2Col(p, input.data<T>(), row0, rows, col);
+        Gemm(col, filter.data<T>(), out.data<T>() + row0 * p.out_c, rows,
+             kdim, p.out_c, false, false);
+      });
     }));
     ctx->set_output(0, std::move(out));
   }
-
- private:
-  std::vector<int64_t> strides_;
-  std::string padding_;
 };
 REGISTER_KERNEL("Conv2D", kDeviceCpu, Conv2DOp);
 
-class Conv2DBackpropInputOp : public OpKernel {
+// d_input = col2im(grad * filter^T).
+class Conv2DBackpropInputOp : public ConvOpBase {
  public:
-  explicit Conv2DBackpropInputOp(OpKernelConstruction* ctx) : OpKernel(ctx) {
-    ctx->SetStatus(ctx->GetIntListAttr("strides", &strides_));
-    ctx->SetStatus(ctx->GetStringAttr("padding", &padding_));
-  }
+  using ConvOpBase::ConvOpBase;
   void Compute(OpKernelContext* ctx) override {
-    Tensor input_sizes = ctx->input(0);
     Tensor filter = ctx->input(1);
     Tensor grad = ctx->input(2);
-    OP_REQUIRES(ctx, input_sizes.num_elements() == 4,
-                InvalidArgument("input_sizes must have 4 elements"));
-    TensorShape in_shape({input_sizes.flat<int32_t>(0),
-                          input_sizes.flat<int32_t>(1),
-                          input_sizes.flat<int32_t>(2),
-                          input_sizes.flat<int32_t>(3)});
+    TensorShape in_shape;
+    OP_REQUIRES_OK(ctx, SizesToShape(ctx->input(0), &in_shape));
     Conv2DParams p;
-    OP_REQUIRES_OK(ctx, ComputeConv2DParams(in_shape, filter.shape(), strides_,
-                                            padding_, &p));
+    OP_REQUIRES_OK(ctx, Params(in_shape, filter.shape(), &p));
+    OP_REQUIRES_OK(ctx, CheckGradShape(grad, p));
     Tensor out(BaseType(grad.dtype()), in_shape);
     OP_REQUIRES_OK(ctx, FloatDispatch(grad.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      const T* g = grad.data<T>();
-      const T* f = filter.data<T>();
+      const int64_t kdim = p.k_h * p.k_w * p.in_c;
       T* o = out.data<T>();
-      for (int64_t b = 0; b < p.batch; ++b) {
-        for (int64_t oh = 0; oh < p.out_h; ++oh) {
-          for (int64_t ow = 0; ow < p.out_w; ++ow) {
-            const T* gpix = g + ((b * p.out_h + oh) * p.out_w + ow) * p.out_c;
-            for (int64_t kh = 0; kh < p.k_h; ++kh) {
-              int64_t ih = oh * p.stride_h + kh - p.pad_top;
-              if (ih < 0 || ih >= p.in_h) continue;
-              for (int64_t kw = 0; kw < p.k_w; ++kw) {
-                int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                if (iw < 0 || iw >= p.in_w) continue;
-                T* opix = o + ((b * p.in_h + ih) * p.in_w + iw) * p.in_c;
-                const T* fpix = f + (kh * p.k_w + kw) * p.in_c * p.out_c;
-                for (int64_t ic = 0; ic < p.in_c; ++ic) {
-                  const T* frow = fpix + ic * p.out_c;
-                  T acc{0};
-                  for (int64_t oc = 0; oc < p.out_c; ++oc) {
-                    acc += gpix[oc] * frow[oc];
-                  }
-                  opix[ic] += acc;
-                }
-              }
-            }
-          }
-        }
-      }
+      ForEachChunk<T>(p, [&](int64_t row0, int64_t rows, T* col) {
+        std::fill_n(col, rows * kdim, T{0});
+        Gemm(grad.data<T>() + row0 * p.out_c, filter.data<T>(), col, rows,
+             p.out_c, kdim, false, true);
+        ForEachRun(p, row0, rows, [&](int64_t c, int64_t i, int64_t len) {
+          if (i < 0) return;
+          for (int64_t j = 0; j < len; ++j) o[i + j] += col[c + j];
+        });
+      });
     }));
     ctx->set_output(0, std::move(out));
   }
-
- private:
-  std::vector<int64_t> strides_;
-  std::string padding_;
 };
 REGISTER_KERNEL("Conv2DBackpropInput", kDeviceCpu, Conv2DBackpropInputOp);
 
-class Conv2DBackpropFilterOp : public OpKernel {
+// d_filter = im2col(input)^T * grad.
+class Conv2DBackpropFilterOp : public ConvOpBase {
  public:
-  explicit Conv2DBackpropFilterOp(OpKernelConstruction* ctx) : OpKernel(ctx) {
-    ctx->SetStatus(ctx->GetIntListAttr("strides", &strides_));
-    ctx->SetStatus(ctx->GetStringAttr("padding", &padding_));
-  }
+  using ConvOpBase::ConvOpBase;
   void Compute(OpKernelContext* ctx) override {
     Tensor input = ctx->input(0);
-    Tensor filter_sizes = ctx->input(1);
     Tensor grad = ctx->input(2);
-    OP_REQUIRES(ctx, filter_sizes.num_elements() == 4,
-                InvalidArgument("filter_sizes must have 4 elements"));
-    TensorShape f_shape({filter_sizes.flat<int32_t>(0),
-                         filter_sizes.flat<int32_t>(1),
-                         filter_sizes.flat<int32_t>(2),
-                         filter_sizes.flat<int32_t>(3)});
+    TensorShape f_shape;
+    OP_REQUIRES_OK(ctx, SizesToShape(ctx->input(1), &f_shape));
     Conv2DParams p;
-    OP_REQUIRES_OK(ctx, ComputeConv2DParams(input.shape(), f_shape, strides_,
-                                            padding_, &p));
+    OP_REQUIRES_OK(ctx, Params(input.shape(), f_shape, &p));
+    OP_REQUIRES_OK(ctx, CheckGradShape(grad, p));
     Tensor out(BaseType(grad.dtype()), f_shape);
     OP_REQUIRES_OK(ctx, FloatDispatch(grad.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      const T* in = input.data<T>();
-      const T* g = grad.data<T>();
-      T* o = out.data<T>();
-      for (int64_t b = 0; b < p.batch; ++b) {
-        for (int64_t oh = 0; oh < p.out_h; ++oh) {
-          for (int64_t ow = 0; ow < p.out_w; ++ow) {
-            const T* gpix = g + ((b * p.out_h + oh) * p.out_w + ow) * p.out_c;
-            for (int64_t kh = 0; kh < p.k_h; ++kh) {
-              int64_t ih = oh * p.stride_h + kh - p.pad_top;
-              if (ih < 0 || ih >= p.in_h) continue;
-              for (int64_t kw = 0; kw < p.k_w; ++kw) {
-                int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                if (iw < 0 || iw >= p.in_w) continue;
-                const T* ipix =
-                    in + ((b * p.in_h + ih) * p.in_w + iw) * p.in_c;
-                T* fpix = o + (kh * p.k_w + kw) * p.in_c * p.out_c;
-                for (int64_t ic = 0; ic < p.in_c; ++ic) {
-                  T iv = ipix[ic];
-                  if (iv == T{0}) continue;
-                  T* frow = fpix + ic * p.out_c;
-                  for (int64_t oc = 0; oc < p.out_c; ++oc) {
-                    frow[oc] += iv * gpix[oc];
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
+      const int64_t kdim = p.k_h * p.k_w * p.in_c;
+      ForEachChunk<T>(p, [&](int64_t row0, int64_t rows, T* col) {
+        Im2Col(p, input.data<T>(), row0, rows, col);
+        Gemm(col, grad.data<T>() + row0 * p.out_c, out.data<T>(), kdim, rows,
+             p.out_c, true, false);
+      });
     }));
     ctx->set_output(0, std::move(out));
   }
-
- private:
-  std::vector<int64_t> strides_;
-  std::string padding_;
 };
 REGISTER_KERNEL("Conv2DBackpropFilter", kDeviceCpu, Conv2DBackpropFilterOp);
 

@@ -149,6 +149,27 @@ TEST(GradientsTest, MatMulTransposed) {
       Tensor::FromVector<float>({1, 2, 3, 4, 5, 6}, TensorShape({2, 3})));
 }
 
+TEST(GradientsTest, MatMulTransposeA) {
+  CheckGradient(
+      [](GraphBuilder* b, Output x) {
+        Output w = Const(b, Tensor::FromVector<float>({1, -2, 3, 0.5f, 1, -1},
+                                                      TensorShape({3, 2})));
+        return ops::MatMul(b, x, w, /*ta=*/true, /*tb=*/false);
+      },
+      Tensor::FromVector<float>({1, 2, 3, 4, 5, 6}, TensorShape({3, 2})));
+}
+
+TEST(GradientsTest, MatMulTransposeBOnSecondOperand) {
+  CheckGradient(
+      [](GraphBuilder* b, Output x) {
+        Output w = Const(b, Tensor::FromVector<float>({1, -2, 3, 0.5f, 1, -1},
+                                                      TensorShape({2, 3})));
+        return ops::MatMul(b, w, x, /*ta=*/false, /*tb=*/true);
+      },
+      Tensor::FromVector<float>({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+                                TensorShape({4, 3})));
+}
+
 TEST(GradientsTest, BiasAdd) {
   CheckGradient(
       [](GraphBuilder* b, Output x) {

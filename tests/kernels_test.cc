@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <random>
+#include <thread>
 
 #include "graph/ops.h"
+#include "kernels/gemm.h"
 #include "runtime/session.h"
 
 namespace tfrepro {
@@ -300,6 +304,355 @@ TEST(KernelsTest, MatMulTransposeCombos) {
   // A x A^T = [[14, 32], [32, 77]].
   EXPECT_EQ(Vec(r), (std::vector<float>{14, 32, 32, 77}));
 }
+
+// Reference kernels: the direct loops that MatMul and the Conv2D kernels
+// ran before the shared GEMM, minus their skip of zero inputs (which turned
+// 0 * Inf and 0 * NaN into 0).
+template <typename T>
+void ReferenceMatMul(const T* a, const T* b, T* c, int64_t m, int64_t k,
+                     int64_t n, bool ta, bool tb) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      T acc{0};
+      for (int64_t kk = 0; kk < k; ++kk) {
+        acc += (ta ? a[kk * m + i] : a[i * k + kk]) *
+               (tb ? b[j * k + kk] : b[kk * n + j]);
+      }
+      c[i * n + j] = acc;
+    }
+  }
+}
+
+struct ConvGeometry {
+  int64_t batch, in_h, in_w, in_c, k_h, k_w, out_c, stride;
+  bool same;
+  int64_t out_h() const {
+    return same ? (in_h + stride - 1) / stride : (in_h - k_h) / stride + 1;
+  }
+  int64_t out_w() const {
+    return same ? (in_w + stride - 1) / stride : (in_w - k_w) / stride + 1;
+  }
+  int64_t pad_top() const {
+    return same ? std::max<int64_t>(0, (out_h() - 1) * stride + k_h - in_h) / 2
+                : 0;
+  }
+  int64_t pad_left() const {
+    return same ? std::max<int64_t>(0, (out_w() - 1) * stride + k_w - in_w) / 2
+                : 0;
+  }
+};
+
+// Visits every (input element, filter element, output element) triple the
+// convolution multiplies, in the order of the direct seven-deep loop.
+template <typename F>
+void ForEachConvTerm(const ConvGeometry& g, F&& fn) {
+  for (int64_t b = 0; b < g.batch; ++b) {
+    for (int64_t oh = 0; oh < g.out_h(); ++oh) {
+      for (int64_t ow = 0; ow < g.out_w(); ++ow) {
+        const int64_t o = ((b * g.out_h() + oh) * g.out_w() + ow) * g.out_c;
+        for (int64_t kh = 0; kh < g.k_h; ++kh) {
+          const int64_t ih = oh * g.stride + kh - g.pad_top();
+          if (ih < 0 || ih >= g.in_h) continue;
+          for (int64_t kw = 0; kw < g.k_w; ++kw) {
+            const int64_t iw = ow * g.stride + kw - g.pad_left();
+            if (iw < 0 || iw >= g.in_w) continue;
+            const int64_t i = ((b * g.in_h + ih) * g.in_w + iw) * g.in_c;
+            const int64_t f = (kh * g.k_w + kw) * g.in_c * g.out_c;
+            for (int64_t ic = 0; ic < g.in_c; ++ic) {
+              for (int64_t oc = 0; oc < g.out_c; ++oc) {
+                fn(i + ic, f + ic * g.out_c + oc, o + oc);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+Tensor RandomTensor(std::mt19937* rng, const TensorShape& shape) {
+  Tensor t(DataTypeToEnum<T>::value, shape);
+  for (int64_t i = 0; i < t.num_elements(); ++i) {
+    if constexpr (std::is_floating_point_v<T>) {
+      t.flat<T>(i) = std::uniform_real_distribution<T>(-1, 1)(*rng);
+    } else {
+      t.flat<T>(i) =
+          static_cast<T>(std::uniform_int_distribution<int>(-5, 5)(*rng));
+    }
+  }
+  return t;
+}
+
+// Floating types agree within 1e-5 relative; integer types exactly.
+template <typename T>
+void ExpectAgrees(const Tensor& got, const Tensor& want,
+                  const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < want.num_elements(); ++i) {
+    const T g = got.flat<T>(i), w = want.flat<T>(i);
+    if constexpr (std::is_floating_point_v<T>) {
+      ASSERT_NEAR(g, w, 1e-5 * std::max<double>(1, std::abs(w)))
+          << what << " at element " << i;
+    } else {
+      ASSERT_EQ(g, w) << what << " at element " << i;
+    }
+  }
+}
+
+// Ragged sizes around the micro-tile (6 rows by 32 bytes of columns: 8
+// float/int32 or 4 double/int64 columns) and past one cache block in each
+// dimension (60 rows, 256 deep, 64 columns for float). k == 0 must leave
+// the output all zeros.
+template <typename T>
+void SweepGemm() {
+  std::mt19937 rng(7);
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      for (int64_t m : {1, 5, 7, 9, 70}) {
+        for (int64_t k : {0, 1, 3, 5, 7, 9, 300}) {
+          for (int64_t n : {1, 3, 5, 7, 9, 200}) {
+            Tensor a = RandomTensor<T>(&rng, ta ? TensorShape({k, m})
+                                                : TensorShape({m, k}));
+            Tensor b = RandomTensor<T>(&rng, tb ? TensorShape({n, k})
+                                                : TensorShape({k, n}));
+            Tensor got(DataTypeToEnum<T>::value, TensorShape({m, n}));
+            Tensor want(DataTypeToEnum<T>::value, TensorShape({m, n}));
+            Gemm(a.data<T>(), b.data<T>(), got.data<T>(), m, k, n, ta, tb);
+            ReferenceMatMul(a.data<T>(), b.data<T>(), want.data<T>(), m, k, n,
+                            ta, tb);
+            ExpectAgrees<T>(got, want,
+                            "m=" + std::to_string(m) + " k=" +
+                                std::to_string(k) + " n=" + std::to_string(n) +
+                                " ta=" + std::to_string(ta) +
+                                " tb=" + std::to_string(tb));
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmTest, MatchesReferenceFloat) { SweepGemm<float>(); }
+TEST(GemmTest, MatchesReferenceDouble) { SweepGemm<double>(); }
+TEST(GemmTest, MatchesReferenceInt32) { SweepGemm<int32_t>(); }
+TEST(GemmTest, MatchesReferenceInt64) { SweepGemm<int64_t>(); }
+
+// Each element's reduction order is fixed, so repeated calls and calls on
+// two threads at once give the same bits.
+TEST(GemmTest, BitIdenticalAcrossCallsAndThreads) {
+  std::mt19937 rng(11);
+  const int64_t m = 130, k = 600, n = 400;
+  Tensor a = RandomTensor<float>(&rng, TensorShape({k, m}));
+  Tensor b = RandomTensor<float>(&rng, TensorShape({k, n}));
+  auto run = [&] {
+    std::vector<float> c(m * n, 0.0f);
+    Gemm(a.data<float>(), b.data<float>(), c.data(), m, k, n, true, false);
+    return c;
+  };
+  const std::vector<float> first = run();
+  EXPECT_EQ(run(), first);
+  std::vector<float> t1, t2;
+  std::thread th1([&] { t1 = run(); });
+  std::thread th2([&] { t2 = run(); });
+  th1.join();
+  th2.join();
+  EXPECT_EQ(t1, first);
+  EXPECT_EQ(t2, first);
+}
+
+// The MatMul op against the reference, every dtype and transpose pair, at
+// one ragged shape.
+template <typename T>
+void CheckMatMulOp() {
+  std::mt19937 rng(3);
+  const int64_t m = 7, k = 10, n = 9;
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      Tensor a = RandomTensor<T>(&rng, ta ? TensorShape({k, m})
+                                          : TensorShape({m, k}));
+      Tensor b = RandomTensor<T>(&rng, tb ? TensorShape({n, k})
+                                          : TensorShape({k, n}));
+      Tensor got = Eval([&](GraphBuilder* g) {
+        return ops::MatMul(g, Const(g, a), Const(g, b), ta, tb);
+      });
+      Tensor want(DataTypeToEnum<T>::value, TensorShape({m, n}));
+      ReferenceMatMul(a.data<T>(), b.data<T>(), want.data<T>(), m, k, n, ta,
+                      tb);
+      ExpectAgrees<T>(got, want, "MatMul ta=" + std::to_string(ta) +
+                                     " tb=" + std::to_string(tb));
+    }
+  }
+}
+
+TEST(KernelsTest, MatMulOpMatchesReferenceAllDtypes) {
+  CheckMatMulOp<float>();
+  CheckMatMulOp<double>();
+  CheckMatMulOp<int32_t>();
+  CheckMatMulOp<int64_t>();
+}
+
+// 0 * Inf and 0 * NaN are NaN whatever the transpose flags: A and B are
+// symmetric, so every flag pair computes the same product, whose [0,0]
+// element includes A[0,0] * B[0,0] = 0 * x.
+TEST(KernelsTest, MatMulZeroTimesNonFiniteIsNaN) {
+  for (float x : {std::numeric_limits<float>::infinity(),
+                  std::numeric_limits<float>::quiet_NaN()}) {
+    for (bool ta : {false, true}) {
+      for (bool tb : {false, true}) {
+        Tensor r = Eval([&](GraphBuilder* b) {
+          return ops::MatMul(
+              b,
+              Const(b, Tensor::FromVector<float>({0, 1, 1, 1},
+                                                 TensorShape({2, 2}))),
+              Const(b, Tensor::FromVector<float>({x, 1, 1, 1},
+                                                 TensorShape({2, 2}))),
+              ta, tb);
+        });
+        EXPECT_TRUE(std::isnan(r.flat<float>(0)))
+            << "x=" << x << " ta=" << ta << " tb=" << tb;
+        EXPECT_EQ(r.flat<float>(3), 2.0f);
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, Conv2DZeroTimesNaNIsNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor zero = Tensor::FromVector<float>({0}, TensorShape({1, 1, 1, 1}));
+  Tensor nan_t = Tensor::FromVector<float>({nan}, TensorShape({1, 1, 1, 1}));
+  Tensor fwd = Eval([&](GraphBuilder* b) {
+    return ops::Conv2D(b, Const(b, zero), Const(b, nan_t), {1, 1, 1, 1},
+                       "VALID");
+  });
+  EXPECT_TRUE(std::isnan(fwd.flat<float>(0)));
+  Tensor filter_grad = Eval([&](GraphBuilder* b) {
+    return b->Op("Conv2DBackpropFilter")
+        .Input(Const(b, zero))
+        .Input(ops::ConstVecI32(b, {1, 1, 1, 1}))
+        .Input(Const(b, nan_t))
+        .Attr("T", DataType::kFloat)
+        .Attr("strides", std::vector<int64_t>{1, 1, 1, 1})
+        .Attr("padding", "VALID")
+        .Finalize();
+  });
+  EXPECT_TRUE(std::isnan(filter_grad.flat<float>(0)));
+}
+
+TEST(KernelsTest, Conv2DBackpropRejectsMismatchedGradient) {
+  // The forward output of a 1x4x4x1 input through a 3x3x1x2 VALID filter is
+  // [1,2,2,2]; a [1,3,3,2] gradient would be read past its end.
+  Tensor input(DataType::kFloat, TensorShape({1, 4, 4, 1}));
+  Tensor filter(DataType::kFloat, TensorShape({3, 3, 1, 2}));
+  Tensor grad(DataType::kFloat, TensorShape({1, 3, 3, 2}));
+  const std::vector<int64_t> strides = {1, 1, 1, 1};
+  Status filter_status = EvalStatus([&](GraphBuilder* b) {
+    return b->Op("Conv2DBackpropFilter")
+        .Input(Const(b, input))
+        .Input(ops::ConstVecI32(b, {3, 3, 1, 2}))
+        .Input(Const(b, grad))
+        .Attr("T", DataType::kFloat)
+        .Attr("strides", strides)
+        .Attr("padding", "VALID")
+        .Finalize();
+  });
+  EXPECT_FALSE(filter_status.ok());
+  Status input_status = EvalStatus([&](GraphBuilder* b) {
+    return b->Op("Conv2DBackpropInput")
+        .Input(ops::ConstVecI32(b, {1, 4, 4, 1}))
+        .Input(Const(b, filter))
+        .Input(Const(b, grad))
+        .Attr("T", DataType::kFloat)
+        .Attr("strides", strides)
+        .Attr("padding", "VALID")
+        .Finalize();
+  });
+  EXPECT_FALSE(input_status.ok());
+}
+
+// Conv2D, Conv2DBackpropInput and Conv2DBackpropFilter against the direct
+// loops: SAME and VALID, strides 1 and 2, a 3x2 filter over 3 channels, one
+// input large enough to span several im2col chunks and one filter whose
+// im2col row outgrows a chunk.
+template <typename T>
+void CheckConvOps(const ConvGeometry& g) {
+  std::mt19937 rng(5);
+  const TensorShape in_shape({g.batch, g.in_h, g.in_w, g.in_c});
+  const TensorShape f_shape({g.k_h, g.k_w, g.in_c, g.out_c});
+  const TensorShape out_shape({g.batch, g.out_h(), g.out_w(), g.out_c});
+  Tensor input = RandomTensor<T>(&rng, in_shape);
+  Tensor filter = RandomTensor<T>(&rng, f_shape);
+  Tensor grad = RandomTensor<T>(&rng, out_shape);
+  Tensor want_out(DataTypeToEnum<T>::value, out_shape);
+  Tensor want_din(DataTypeToEnum<T>::value, in_shape);
+  Tensor want_dfilter(DataTypeToEnum<T>::value, f_shape);
+  ForEachConvTerm(g, [&](int64_t i, int64_t f, int64_t o) {
+    want_out.flat<T>(o) += input.flat<T>(i) * filter.flat<T>(f);
+    want_din.flat<T>(i) += grad.flat<T>(o) * filter.flat<T>(f);
+    want_dfilter.flat<T>(f) += input.flat<T>(i) * grad.flat<T>(o);
+  });
+
+  Graph graph;
+  GraphBuilder b(&graph);
+  const std::vector<int64_t> strides = {1, g.stride, g.stride, 1};
+  const std::string padding = g.same ? "SAME" : "VALID";
+  auto sizes = [&](const TensorShape& s) {
+    return ops::ConstVecI32(&b, {static_cast<int32_t>(s.dim(0)),
+                                 static_cast<int32_t>(s.dim(1)),
+                                 static_cast<int32_t>(s.dim(2)),
+                                 static_cast<int32_t>(s.dim(3))});
+  };
+  Output out = ops::Conv2D(&b, Const(&b, input), Const(&b, filter), strides,
+                           padding);
+  Output din = b.Op("Conv2DBackpropInput")
+                   .Input(sizes(in_shape))
+                   .Input(Const(&b, filter))
+                   .Input(Const(&b, grad))
+                   .Attr("T", DataTypeToEnum<T>::value)
+                   .Attr("strides", strides)
+                   .Attr("padding", padding)
+                   .Finalize();
+  Output dfilter = b.Op("Conv2DBackpropFilter")
+                       .Input(Const(&b, input))
+                       .Input(sizes(f_shape))
+                       .Input(Const(&b, grad))
+                       .Attr("T", DataTypeToEnum<T>::value)
+                       .Attr("strides", strides)
+                       .Attr("padding", padding)
+                       .Finalize();
+  TF_CHECK_OK(b.status());
+  SessionOptions options;
+  options.optimizer.do_constant_folding = false;
+  auto session = DirectSession::Create(graph, options);
+  TF_CHECK_OK(session.status());
+  std::vector<Tensor> results;
+  TF_CHECK_OK(session.value()->Run({out.name(), din.name(), dfilter.name()},
+                                   &results));
+  const std::string what = padding + " stride " + std::to_string(g.stride) +
+                           " " + in_shape.DebugString();
+  ExpectAgrees<T>(results[0], want_out, "Conv2D " + what);
+  ExpectAgrees<T>(results[1], want_din, "Conv2DBackpropInput " + what);
+  ExpectAgrees<T>(results[2], want_dfilter, "Conv2DBackpropFilter " + what);
+}
+
+template <typename T>
+void SweepConvOps() {
+  for (bool same : {true, false}) {
+    for (int64_t stride : {1, 2}) {
+      CheckConvOps<T>({2, 7, 6, 3, 3, 2, 5, stride, same});
+    }
+  }
+  // VALID with the filter wider than the input: stride 2 still gives one
+  // output pixel, whose taps past the input edge contribute nothing.
+  CheckConvOps<T>({1, 2, 2, 3, 3, 3, 4, 2, false});
+  CheckConvOps<T>({4, 24, 24, 3, 3, 3, 16, 1, true});
+  // One im2col row (1x1x16500 taps) larger than the whole chunk scratch.
+  CheckConvOps<T>({1, 2, 2, 16500, 1, 1, 2, 1, false});
+}
+
+TEST(KernelsTest, Conv2DOpsMatchReferenceFloat) { SweepConvOps<float>(); }
+TEST(KernelsTest, Conv2DOpsMatchReferenceDouble) { SweepConvOps<double>(); }
 
 TEST(KernelsTest, Conv2DHandComputed) {
   // 1x2x2x1 input, 2x2 filter of ones, VALID -> single sum.
