@@ -1,5 +1,6 @@
 // Micro benchmarks of the real runtime: kernels (MatMul in each transpose
-// case and Conv2D with its backprops, as GFLOP/s), rendezvous, queues,
+// case and Conv2D with its backprops, as GFLOP/s; the memory-bound kernels
+// as bytes/s next to a copy of the same bytes), rendezvous, queues,
 // variable updates, and the DESIGN.md ablations (sparse gather vs full
 // fetch; fused vs composed optimizer update).
 
@@ -25,10 +26,9 @@ Tensor RandomUniform(const TensorShape& shape, uint64_t seed) {
   return t;
 }
 
-// Times one session Run of `out` (its inputs are Consts; constant folding is
-// off so the op stays live) and reports `flops` per Run as GFLOP/s.
-void RunKernel(benchmark::State& state, const Graph& g, const Output& out,
-               double flops) {
+// Times one session Run of `out` per iteration (its inputs are Consts;
+// constant folding is off so the op stays live).
+void RunOp(benchmark::State& state, const Graph& g, const Output& out) {
   SessionOptions options;
   options.optimizer.do_constant_folding = false;
   auto session = DirectSession::Create(g, options);
@@ -38,6 +38,12 @@ void RunKernel(benchmark::State& state, const Graph& g, const Output& out,
     TF_CHECK_OK(session.value()->Run({out.name()}, &results));
     benchmark::DoNotOptimize(results[0].data<float>());
   }
+}
+
+// RunOp, reporting `flops` per Run as GFLOP/s.
+void RunKernel(benchmark::State& state, const Graph& g, const Output& out,
+               double flops) {
+  RunOp(state, g, out);
   state.counters["gflops"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * flops * 1e-9,
       benchmark::Counter::kIsRate);
@@ -120,6 +126,166 @@ void BM_Conv2DBackpropFilter(benchmark::State& state) {
 BENCHMARK(BM_Conv2DFwd)->Args({16, 3, 16})->Args({8, 16, 32});
 BENCHMARK(BM_Conv2DBackpropInput)->Args({16, 3, 16})->Args({8, 16, 32});
 BENCHMARK(BM_Conv2DBackpropFilter)->Args({16, 3, 16})->Args({8, 16, 32});
+
+// Memory-bound kernels (DESIGN.md §15) at the convnet's activation shapes:
+// conv1 [64,16,16,16] and conv2 [64,8,8,32] outputs, fc1 [64,512]. Each row
+// reports the bytes its kernel reads and writes. Inputs are drawn from
+// [-1, 1): on all-positive data a branchy Relu predicts every branch and
+// hides what it costs on real activations. BM_Copy runs an Identity over a
+// Relu's bytes: its time is the session Run plus the fetch's deep copy, the
+// floor under every row here. scripts/check.sh gates BM_Relu/conv1 against
+// BM_Copy/conv1.
+Tensor RandomSigned(const TensorShape& shape, uint64_t seed) {
+  Tensor t = RandomUniform(shape, seed);
+  const int64_t n = t.num_elements();
+  for (int64_t i = 0; i < n; ++i) t.flat<float>(i) = 2 * t.flat<float>(i) - 1;
+  return t;
+}
+
+// RunOp, reporting `bytes` read and written per Run.
+void RunMemoryBound(benchmark::State& state, const Graph& g, const Output& out,
+                    int64_t bytes) {
+  RunOp(state, g, out);
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+
+const std::vector<int64_t> kPool = {1, 2, 2, 1};
+
+// Identity forwards its input, so the only work is the fetch's copy, which
+// every row here also pays.
+void BM_Copy(benchmark::State& state, const TensorShape& shape) {
+  Graph g;
+  GraphBuilder b(&g);
+  Output y = ops::Identity(&b, ops::Const(&b, RandomSigned(shape, 1)));
+  TF_CHECK_OK(b.status());
+  RunMemoryBound(state, g, y, 2 * shape.num_elements() * 4);
+}
+
+void BM_Relu(benchmark::State& state, const TensorShape& shape) {
+  Graph g;
+  GraphBuilder b(&g);
+  Output y = ops::Relu(&b, ops::Const(&b, RandomSigned(shape, 1)));
+  TF_CHECK_OK(b.status());
+  RunMemoryBound(state, g, y, 2 * shape.num_elements() * 4);
+}
+
+void BM_ReluGrad(benchmark::State& state, const TensorShape& shape) {
+  Graph g;
+  GraphBuilder b(&g);
+  Output dx = b.Op("ReluGrad")
+                  .Input(ops::Const(&b, RandomSigned(shape, 2)))
+                  .Input(ops::Const(&b, RandomSigned(shape, 1)))
+                  .Attr("T", DataType::kFloat)
+                  .Finalize();
+  TF_CHECK_OK(b.status());
+  RunMemoryBound(state, g, dx, 3 * shape.num_elements() * 4);
+}
+
+void BM_MaxPool(benchmark::State& state, const TensorShape& shape) {
+  Graph g;
+  GraphBuilder b(&g);
+  Output y = ops::MaxPool(&b, ops::Const(&b, RandomSigned(shape, 1)), kPool,
+                          kPool, "VALID");
+  TF_CHECK_OK(b.status());
+  RunMemoryBound(state, g, y, (shape.num_elements() * 5 / 4) * 4);
+}
+
+// The forward output is computed once and fed as a Const, so only the
+// gradient is timed.
+void BM_MaxPoolGrad(benchmark::State& state, const TensorShape& shape) {
+  const Tensor x = RandomSigned(shape, 1);
+  Tensor pooled;
+  {
+    Graph g;
+    GraphBuilder b(&g);
+    Output y = ops::MaxPool(&b, ops::Const(&b, x), kPool, kPool, "VALID");
+    TF_CHECK_OK(b.status());
+    auto session = DirectSession::Create(g);
+    TF_CHECK_OK(session.status());
+    std::vector<Tensor> results;
+    TF_CHECK_OK(session.value()->Run({y.name()}, &results));
+    pooled = results[0];
+  }
+  Graph g;
+  GraphBuilder b(&g);
+  Output dx = b.Op("MaxPoolGrad")
+                  .Input(ops::Const(&b, x))
+                  .Input(ops::Const(&b, pooled))
+                  .Input(ops::Const(&b, RandomSigned(pooled.shape(), 2)))
+                  .Attr("T", DataType::kFloat)
+                  .Attr("ksize", kPool)
+                  .Attr("strides", kPool)
+                  .Attr("padding", "VALID")
+                  .Finalize();
+  TF_CHECK_OK(b.status());
+  RunMemoryBound(state, g, dx, (shape.num_elements() * 5 / 2) * 4);
+}
+
+void BM_BiasAdd(benchmark::State& state, const TensorShape& shape) {
+  const int64_t c = shape.dim(shape.rank() - 1);
+  Graph g;
+  GraphBuilder b(&g);
+  Output y = ops::BiasAdd(&b, ops::Const(&b, RandomSigned(shape, 1)),
+                          ops::Const(&b, RandomSigned(TensorShape({c}), 2)));
+  TF_CHECK_OK(b.status());
+  RunMemoryBound(state, g, y, (2 * shape.num_elements() + c) * 4);
+}
+
+void BM_BiasAddGrad(benchmark::State& state, const TensorShape& shape) {
+  const int64_t c = shape.dim(shape.rank() - 1);
+  Graph g;
+  GraphBuilder b(&g);
+  Output db = b.Op("BiasAddGrad")
+                  .Input(ops::Const(&b, RandomSigned(shape, 1)))
+                  .Attr("T", DataType::kFloat)
+                  .Finalize();
+  TF_CHECK_OK(b.status());
+  RunMemoryBound(state, g, db, (shape.num_elements() + c) * 4);
+}
+
+// Args are the convnet's variable shapes: fc1's [512,512] weights and
+// conv2's [3,3,16,32] filter.
+void BM_ApplyGradientDescent(benchmark::State& state,
+                             const TensorShape& shape) {
+  Graph g;
+  GraphBuilder b(&g);
+  Output var = ops::Variable(&b, DataType::kFloat, shape, "var");
+  Output init = ops::Assign(&b, var, ops::Const(&b, RandomSigned(shape, 1)));
+  Output apply = b.Op("ApplyGradientDescent")
+                     .Input(var)
+                     .Input(ops::Const(&b, 1e-6f))
+                     .Input(ops::Const(&b, RandomSigned(shape, 2)))
+                     .Attr("T", DataType::kFloat)
+                     .Finalize();
+  TF_CHECK_OK(b.status());
+  auto session = DirectSession::Create(g);
+  TF_CHECK_OK(session.status());
+  TF_CHECK_OK(session.value()->Run({}, {}, {init.node->name()}, nullptr));
+  for (auto _ : state) {
+    TF_CHECK_OK(
+        session.value()->Run({}, {}, {apply.node->name()}, nullptr));
+  }
+  state.SetBytesProcessed(state.iterations() * 3 * shape.num_elements() * 4);
+}
+
+#define CONV_ACTIVATIONS(fn)                                    \
+  BENCHMARK_CAPTURE(fn, conv1, TensorShape({64, 16, 16, 16})); \
+  BENCHMARK_CAPTURE(fn, conv2, TensorShape({64, 8, 8, 32}))
+#define ALL_ACTIVATIONS(fn) \
+  CONV_ACTIVATIONS(fn);     \
+  BENCHMARK_CAPTURE(fn, fc1, TensorShape({64, 512}))
+ALL_ACTIVATIONS(BM_Copy);
+ALL_ACTIVATIONS(BM_Relu);
+ALL_ACTIVATIONS(BM_ReluGrad);
+CONV_ACTIVATIONS(BM_MaxPool);
+CONV_ACTIVATIONS(BM_MaxPoolGrad);
+ALL_ACTIVATIONS(BM_BiasAdd);
+ALL_ACTIVATIONS(BM_BiasAddGrad);
+BENCHMARK_CAPTURE(BM_ApplyGradientDescent, fc1_w, TensorShape({512, 512}));
+BENCHMARK_CAPTURE(BM_ApplyGradientDescent, conv2_w,
+                  TensorShape({3, 3, 16, 32}));
+#undef ALL_ACTIVATIONS
+#undef CONV_ACTIVATIONS
 
 void BM_RendezvousSendRecv(benchmark::State& state) {
   LocalRendezvous rendezvous;

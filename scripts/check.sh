@@ -4,7 +4,7 @@
 # (DESIGN.md §15) and a bench smoke against the committed hot-path
 # baseline.
 #
-#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, ASan kernels, bench + profiler + optimizer + input smoke
+#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, ASan kernels, bench (executor, Relu-vs-copy, serving) + profiler + optimizer + input smoke
 #   scripts/check.sh --tsan-only
 #   scripts/check.sh --asan-kernels
 #   scripts/check.sh --bench-only
@@ -118,6 +118,41 @@ for name, what in [("BM_CachedStepOverhead", "null-step latency"),
         failed = True
 if failed:
     raise SystemExit(1)
+print("bench smoke: ok")
+PYEOF
+}
+
+# Memory-bound kernel smoke (DESIGN.md §15): BM_Relu over the convnet's
+# conv1 activations ([64,16,16,16], mixed signs) against BM_Copy, which
+# fetches the same bytes through an Identity, so both rows pay the same
+# session Run and fetch copy. A Relu whose loop branches per element
+# (mispredicting on mixed signs) costs about 30x the copy; the branch-free
+# loop about 2x. The bound is a ratio of two rows of one run, so it does
+# not move with the host's speed.
+run_kernel_ratio_smoke() {
+  echo "== bench smoke: BM_Relu/conv1 <= 5x BM_Copy/conv1 =="
+  cmake --build build -j "$JOBS" --target bench_micro
+  local fresh=/tmp/bench_smoke_micro.json
+  ./build/bench/bench_micro --json "$fresh" \
+      --benchmark_filter='^BM_(Relu|Copy)/conv1$' --benchmark_min_time=0.2
+  python3 - "$fresh" <<'PYEOF'
+import json, sys
+
+fresh = json.load(open(sys.argv[1]))
+
+def wall_ms(name):
+    for r in fresh["results"]:
+        if r["name"] == name:
+            return r["wall_ms"]
+    raise SystemExit(f"bench smoke: {name} missing from results")
+
+relu, copy = wall_ms("BM_Relu/conv1"), wall_ms("BM_Copy/conv1")
+ratio = relu / copy
+print(f"bench smoke: Relu {relu*1e3:.0f}us vs copy {copy*1e3:.0f}us "
+      f"({ratio:.2f}x)")
+if ratio > 5.0:
+    raise SystemExit(f"bench smoke FAILED: Relu costs {ratio:.2f}x a copy "
+                     "of its bytes (bound 5x)")
 print("bench smoke: ok")
 PYEOF
 }
@@ -249,6 +284,7 @@ case "${1:-}" in
     ;;
   --bench-only)
     run_bench_smoke
+    run_kernel_ratio_smoke
     run_serving_bench_smoke
     ;;
   --socket-only)
@@ -269,6 +305,7 @@ case "${1:-}" in
     run_tsan
     run_asan_kernels
     run_bench_smoke
+    run_kernel_ratio_smoke
     run_serving_bench_smoke
     run_profiler_smoke
     run_optimizer_smoke

@@ -200,7 +200,8 @@ Result<Tensor> Tensor::ParseFromBytes(const std::string& bytes,
   }
   Tensor t(dtype, TensorShape(dims));
   if (dtype == DataType::kString) {
-    for (int64_t i = 0; i < t.num_elements(); ++i) {
+    const int64_t n = t.num_elements();
+    for (int64_t i = 0; i < n; ++i) {
       int64_t len = 0;
       if (!ReadInt64(bytes, offset, &len) || len < 0 ||
           *offset + static_cast<size_t>(len) > bytes.size()) {

@@ -143,7 +143,8 @@ Status ParseExampleHeavy(const Element& in, Element* out) {
   if (!s.ok()) return s;
   Tensor& features = (*out)[0];
   float* p = features.data<float>();
-  for (int64_t i = 0; i < features.num_elements(); ++i) {
+  const int64_t n = features.num_elements();
+  for (int64_t i = 0; i < n; ++i) {
     float v = p[i];
     for (int k = 0; k < 250; ++k) {
       v = std::sin(v) * 0.5f + std::cos(v * 1.7f) * 0.5f;

@@ -40,7 +40,8 @@ Tensor SyntheticImageBatch(int batch, int height, int width, int channels,
                            PhiloxRandom* rng) {
   Tensor t(DataType::kFloat, TensorShape({batch, height, width, channels}));
   float* p = t.data<float>();
-  for (int64_t i = 0; i < t.num_elements(); ++i) {
+  const int64_t n = t.num_elements();
+  for (int64_t i = 0; i < n; ++i) {
     p[i] = rng->Uniform();
   }
   return t;

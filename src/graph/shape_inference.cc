@@ -71,7 +71,8 @@ std::optional<std::vector<int64_t>> ShapeInferenceContext::ConstIntVector(
     return std::nullopt;
   }
   std::vector<int64_t> values;
-  for (int64_t j = 0; j < value.num_elements(); ++j) {
+  const int64_t n = value.num_elements();
+  for (int64_t j = 0; j < n; ++j) {
     values.push_back(value.flat<int32_t>(j));
   }
   return values;

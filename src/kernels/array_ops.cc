@@ -54,7 +54,8 @@ class ReshapeOp : public OpKernel {
     std::vector<int64_t> dims;
     int64_t known = 1;
     int infer = -1;
-    for (int64_t i = 0; i < shape_t.num_elements(); ++i) {
+    const int64_t n = shape_t.num_elements();
+    for (int64_t i = 0; i < n; ++i) {
       int64_t d = shape_t.flat<int32_t>(i);
       if (d == -1) {
         OP_REQUIRES(ctx, infer == -1,
@@ -521,11 +522,13 @@ class OneHotOp : public OpKernel {
       T on_v = *on.data<T>();
       T off_v = *off.data<T>();
       T* o = out.data<T>();
-      for (int64_t i = 0; i < out.num_elements(); ++i) o[i] = off_v;
+      const int64_t n = out.num_elements();
+      for (int64_t i = 0; i < n; ++i) o[i] = off_v;
       Status s = IndexDispatch(indices.dtype(), [&](auto itag) {
         using I = decltype(itag);
         const I* idx = indices.data<I>();
-        for (int64_t i = 0; i < indices.num_elements(); ++i) {
+        const int64_t count = indices.num_elements();
+        for (int64_t i = 0; i < count; ++i) {
           if (idx[i] >= 0 && idx[i] < depth) {
             o[i * depth + idx[i]] = on_v;
           }

@@ -7,6 +7,7 @@
 
 #include "core/status.h"
 #include "core/tensor_shape.h"
+#include "kernels/ewise_loop.h"
 
 namespace tfrepro {
 
@@ -26,17 +27,17 @@ void BroadcastBinary(const Ta* a, const TensorShape& a_shape, const Ta* b,
                      const TensorShape& out_shape, Fn fn) {
   int64_t n = out_shape.num_elements();
   if (a_shape == b_shape) {
-    for (int64_t i = 0; i < n; ++i) out[i] = fn(a[i], b[i]);
+    ForEachElement(n, [&](Tout& o, Ta x, Ta y) { o = fn(x, y); }, out, a, b);
     return;
   }
   if (a_shape.num_elements() == 1) {
-    Ta av = a[0];
-    for (int64_t i = 0; i < n; ++i) out[i] = fn(av, b[i]);
+    const Ta av = a[0];
+    ForEachElement(n, [&](Tout& o, Ta y) { o = fn(av, y); }, out, b);
     return;
   }
   if (b_shape.num_elements() == 1) {
-    Ta bv = b[0];
-    for (int64_t i = 0; i < n; ++i) out[i] = fn(a[i], bv);
+    const Ta bv = b[0];
+    ForEachElement(n, [&](Tout& o, Ta x) { o = fn(x, bv); }, out, a);
     return;
   }
   std::vector<int64_t> sa = BroadcastStrides(a_shape, out_shape);

@@ -135,7 +135,8 @@ class OnesLikeOp : public OpKernel {
     OP_REQUIRES_OK(ctx, NumericDispatch(in.dtype(), [&](auto tag) {
       using T = decltype(tag);
       T* p = out.data<T>();
-      for (int64_t i = 0; i < out.num_elements(); ++i) p[i] = T{1};
+      const int64_t n = out.num_elements();
+      for (int64_t i = 0; i < n; ++i) p[i] = T{1};
     }));
     ctx->set_output(0, std::move(out));
   }
@@ -153,7 +154,8 @@ class FillOp : public OpKernel {
     OP_REQUIRES(ctx, value.IsScalar(),
                 InvalidArgument("Fill value must be a scalar"));
     std::vector<int64_t> shape_dims;
-    for (int64_t i = 0; i < dims.num_elements(); ++i) {
+    const int64_t n = dims.num_elements();
+    for (int64_t i = 0; i < n; ++i) {
       shape_dims.push_back(dims.flat<int32_t>(i));
     }
     OP_REQUIRES_OK(ctx, ValidateShape(shape_dims));
@@ -162,7 +164,8 @@ class FillOp : public OpKernel {
       using T = decltype(tag);
       T v = *value.data<T>();
       T* p = out.data<T>();
-      for (int64_t i = 0; i < out.num_elements(); ++i) p[i] = v;
+      const int64_t n = out.num_elements();
+      for (int64_t i = 0; i < n; ++i) p[i] = v;
     }));
     ctx->set_output(0, std::move(out));
   }

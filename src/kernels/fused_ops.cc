@@ -15,6 +15,7 @@
 #include "kernels/broadcast.h"
 #include "kernels/dispatch.h"
 #include "kernels/elementwise_functors.h"
+#include "kernels/ewise_loop.h"
 #include "runtime/kernel.h"
 
 namespace tfrepro {
@@ -143,11 +144,11 @@ class FusedElementwiseOp : public OpKernel {
             acc = std::move(next);
           } else {
             Tensor next(BaseType(dtype_), acc.shape());
-            const T* a = acc.data<T>();
-            T* o = next.data<T>();
-            for (int64_t i = 0; i < acc.num_elements(); ++i) {
-              o[i] = ApplyUnaryEwise<T>(s.unary, a[i]);
-            }
+            const UnaryEwise op = s.unary;
+            ForEachElement(
+                acc.num_elements(),
+                [op](T& o, T x) { o = ApplyUnaryEwise<T>(op, x); },
+                next.data<T>(), acc.data<T>());
             acc = std::move(next);
           }
         }

@@ -7,6 +7,7 @@
 #include "kernels/broadcast.h"
 #include "kernels/elementwise_functors.h"
 #include "kernels/dispatch.h"
+#include "kernels/ewise_loop.h"
 #include "runtime/kernel.h"
 
 namespace tfrepro {
@@ -121,11 +122,9 @@ class UnaryOp : public OpKernel {
     Tensor out(BaseType(x.dtype()), x.shape());
     OP_REQUIRES_OK(ctx, NumericDispatch(x.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      const T* in = x.data<T>();
-      T* o = out.data<T>();
-      for (int64_t i = 0; i < x.num_elements(); ++i) {
-        o[i] = Functor::template Run<T>(in[i]);
-      }
+      ForEachElement(x.num_elements(),
+                     [](T& o, T v) { o = Functor::template Run<T>(v); },
+                     out.data<T>(), x.data<T>());
     }));
     ctx->set_output(0, std::move(out));
   }
@@ -158,12 +157,10 @@ class ReluGradOp : public OpKernel {
     Tensor out(BaseType(g.dtype()), g.shape());
     OP_REQUIRES_OK(ctx, FloatDispatch(g.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      const T* gp = g.data<T>();
-      const T* xp = x.data<T>();
-      T* o = out.data<T>();
-      for (int64_t i = 0; i < g.num_elements(); ++i) {
-        o[i] = xp[i] > T{0} ? gp[i] : T{0};
-      }
+      // A select, not g * (x > 0): a non-finite g where x <= 0 gives 0.
+      ForEachElement(g.num_elements(),
+                     [](T& o, T gv, T xv) { o = xv > T{0} ? gv : T{0}; },
+                     out.data<T>(), g.data<T>(), x.data<T>());
     }));
     ctx->set_output(0, std::move(out));
   }
@@ -177,15 +174,14 @@ class SigmoidGradOp : public OpKernel {
   void Compute(OpKernelContext* ctx) override {
     Tensor y = ctx->input(0);
     Tensor dy = ctx->input(1);
+    OP_REQUIRES(ctx, y.shape() == dy.shape(),
+                InvalidArgument("SigmoidGrad shapes differ"));
     Tensor out(BaseType(y.dtype()), y.shape());
     OP_REQUIRES_OK(ctx, FloatDispatch(y.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      const T* yp = y.data<T>();
-      const T* dp = dy.data<T>();
-      T* o = out.data<T>();
-      for (int64_t i = 0; i < y.num_elements(); ++i) {
-        o[i] = dp[i] * yp[i] * (T{1} - yp[i]);
-      }
+      ForEachElement(y.num_elements(),
+                     [](T& o, T yv, T d) { o = d * yv * (T{1} - yv); },
+                     out.data<T>(), y.data<T>(), dy.data<T>());
     }));
     ctx->set_output(0, std::move(out));
   }
@@ -199,15 +195,14 @@ class TanhGradOp : public OpKernel {
   void Compute(OpKernelContext* ctx) override {
     Tensor y = ctx->input(0);
     Tensor dy = ctx->input(1);
+    OP_REQUIRES(ctx, y.shape() == dy.shape(),
+                InvalidArgument("TanhGrad shapes differ"));
     Tensor out(BaseType(y.dtype()), y.shape());
     OP_REQUIRES_OK(ctx, FloatDispatch(y.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      const T* yp = y.data<T>();
-      const T* dp = dy.data<T>();
-      T* o = out.data<T>();
-      for (int64_t i = 0; i < y.num_elements(); ++i) {
-        o[i] = dp[i] * (T{1} - yp[i] * yp[i]);
-      }
+      ForEachElement(y.num_elements(),
+                     [](T& o, T yv, T d) { o = d * (T{1} - yv * yv); },
+                     out.data<T>(), y.data<T>(), dy.data<T>());
     }));
     ctx->set_output(0, std::move(out));
   }
@@ -256,7 +251,8 @@ class LogicalNotOp : public OpKernel {
     Tensor out(DataType::kBool, x.shape());
     const bool* in = x.data<bool>();
     bool* o = out.data<bool>();
-    for (int64_t i = 0; i < x.num_elements(); ++i) o[i] = !in[i];
+    const int64_t n = x.num_elements();
+    for (int64_t i = 0; i < n; ++i) o[i] = !in[i];
     ctx->set_output(0, std::move(out));
   }
 };
@@ -315,13 +311,14 @@ class CastOp : public OpKernel {
   void Compute(OpKernelContext* ctx) override {
     Tensor x = ctx->input(0);
     Tensor out(dst_, x.shape());
+    const int64_t n = x.num_elements();
     Status s = NumericDispatch(x.dtype(), [&](auto src_tag) {
       using Src = decltype(src_tag);
       const Src* in = x.data<Src>();
       Status s2 = NumericDispatch(dst_, [&](auto dst_tag) {
         using Dst = decltype(dst_tag);
         Dst* o = out.data<Dst>();
-        for (int64_t i = 0; i < x.num_elements(); ++i) {
+        for (int64_t i = 0; i < n; ++i) {
           o[i] = static_cast<Dst>(in[i]);
         }
       });
@@ -333,7 +330,7 @@ class CastOp : public OpKernel {
       s = NumericDispatch(dst_, [&](auto dst_tag) {
         using Dst = decltype(dst_tag);
         Dst* o = out.data<Dst>();
-        for (int64_t i = 0; i < x.num_elements(); ++i) {
+        for (int64_t i = 0; i < n; ++i) {
           o[i] = static_cast<Dst>(in[i] ? 1 : 0);
         }
       });
@@ -408,11 +405,11 @@ class AddNOp : public OpKernel {
     Tensor out(BaseType(first.dtype()), first.shape());
     OP_REQUIRES_OK(ctx, NumericDispatch(first.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      T* o = out.data<T>();
+      const int64_t n = out.num_elements();
       for (int i = 0; i < ctx->num_inputs(); ++i) {
         Tensor x = ctx->input(i);
-        const T* in = x.data<T>();
-        for (int64_t j = 0; j < out.num_elements(); ++j) o[j] += in[j];
+        ForEachElement(n, [](T& o, T v) { o += v; }, out.data<T>(),
+                       x.data<T>());
       }
     }));
     ctx->set_output(0, std::move(out));

@@ -1,7 +1,9 @@
 // MatMul and bias kernels. MatMul, the workhorse of every model in the
-// paper's evaluation, is the shared packed GEMM (kernels/gemm.h).
+// paper's evaluation, is the shared packed GEMM (kernels/gemm.h); the bias
+// kernels run one row at a time through kernels/ewise_loop.h.
 
 #include "kernels/dispatch.h"
+#include "kernels/ewise_loop.h"
 #include "kernels/gemm.h"
 #include "runtime/kernel.h"
 
@@ -67,7 +69,7 @@ class BiasAddOp : public OpKernel {
       T* o = out.data<T>();
       const int64_t rows = c == 0 ? 0 : value.num_elements() / c;
       for (int64_t r = 0; r < rows; ++r, v += c, o += c) {
-        for (int64_t j = 0; j < c; ++j) o[j] = v[j] + bp[j];
+        ForEachElement(c, [](T& y, T x, T b) { y = x + b; }, o, v, bp);
       }
     }));
     ctx->set_output(0, std::move(out));
@@ -91,7 +93,7 @@ class BiasAddGradOp : public OpKernel {
       T* o = out.data<T>();
       const int64_t rows = c == 0 ? 0 : g.num_elements() / c;
       for (int64_t r = 0; r < rows; ++r, gp += c) {
-        for (int64_t j = 0; j < c; ++j) o[j] += gp[j];
+        ForEachElement(c, [](T& sum, T x) { sum += x; }, o, gp);
       }
     }));
     ctx->set_output(0, std::move(out));

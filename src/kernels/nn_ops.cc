@@ -1,7 +1,7 @@
 // Neural-network kernels: 2-D convolution and pooling with their gradients
 // (NHWC layout, HWIO filters, SAME/VALID padding), softmax family, and the
 // fused softmax-cross-entropy kernels. The convolutions are im2col plus the
-// shared GEMM (kernels/gemm.h).
+// shared GEMM (kernels/gemm.h); MaxPool runs on kernels/ewise_loop.h.
 
 #include <algorithm>
 #include <cmath>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "kernels/dispatch.h"
+#include "kernels/ewise_loop.h"
 #include "kernels/gemm.h"
 #include "runtime/kernel.h"
 
@@ -302,22 +303,23 @@ class MaxPoolOp : public OpKernel {
       using T = decltype(tag);
       const T* in = input.data<T>();
       T* o = out.data<T>();
+      // Channels innermost: each window tap folds one in_c run into the
+      // output pixel's in_c run, taps in (kh, kw) order as a select, so NaN
+      // and ties resolve as a scalar max loop would.
       for (int64_t b = 0; b < p.batch; ++b) {
         for (int64_t oh = 0; oh < p.out_h; ++oh) {
-          for (int64_t ow = 0; ow < p.out_w; ++ow) {
-            for (int64_t c = 0; c < p.in_c; ++c) {
-              T best = std::numeric_limits<T>::lowest();
-              for (int64_t kh = 0; kh < p.k_h; ++kh) {
-                int64_t ih = oh * p.stride_h + kh - p.pad_top;
-                if (ih < 0 || ih >= p.in_h) continue;
-                for (int64_t kw = 0; kw < p.k_w; ++kw) {
-                  int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                  if (iw < 0 || iw >= p.in_w) continue;
-                  T v = in[((b * p.in_h + ih) * p.in_w + iw) * p.in_c + c];
-                  if (v > best) best = v;
-                }
+          for (int64_t ow = 0; ow < p.out_w; ++ow, o += p.in_c) {
+            std::fill_n(o, p.in_c, std::numeric_limits<T>::lowest());
+            for (int64_t kh = 0; kh < p.k_h; ++kh) {
+              int64_t ih = oh * p.stride_h + kh - p.pad_top;
+              if (ih < 0 || ih >= p.in_h) continue;
+              for (int64_t kw = 0; kw < p.k_w; ++kw) {
+                int64_t iw = ow * p.stride_w + kw - p.pad_left;
+                if (iw < 0 || iw >= p.in_w) continue;
+                ForEachElement(
+                    p.in_c, [](T& best, T v) { best = v > best ? v : best; },
+                    o, in + ((b * p.in_h + ih) * p.in_w + iw) * p.in_c);
               }
-              o[((b * p.out_h + oh) * p.out_w + ow) * p.in_c + c] = best;
             }
           }
         }

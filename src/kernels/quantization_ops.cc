@@ -40,7 +40,8 @@ class QuantizeOp : public OpKernel {
     Tensor out(DataType::kUint8, input.shape());
     const float* in = input.data<float>();
     uint8_t* o = out.data<uint8_t>();
-    for (int64_t i = 0; i < input.num_elements(); ++i) {
+    const int64_t n = input.num_elements();
+    for (int64_t i = 0; i < n; ++i) {
       float q = std::round((in[i] - params.value().min) *
                            params.value().inv_scale);
       o[i] = static_cast<uint8_t>(std::min(255.0f, std::max(0.0f, q)));
@@ -61,7 +62,8 @@ class DequantizeOp : public OpKernel {
     Tensor out(DataType::kFloat, input.shape());
     const uint8_t* in = input.data<uint8_t>();
     float* o = out.data<float>();
-    for (int64_t i = 0; i < input.num_elements(); ++i) {
+    const int64_t n = input.num_elements();
+    for (int64_t i = 0; i < n; ++i) {
       o[i] = params.value().min + in[i] * params.value().scale;
     }
     ctx->set_output(0, std::move(out));

@@ -20,7 +20,8 @@ Status GetAxes(const Tensor& input, const Tensor& indices,
     // axes explicitly for "reduce all".
     return Status::OK();
   }
-  for (int64_t i = 0; i < indices.num_elements(); ++i) {
+  const int64_t n = indices.num_elements();
+  for (int64_t i = 0; i < n; ++i) {
     int32_t axis = indices.flat<int32_t>(i);
     if (axis < 0) axis += rank;
     if (axis < 0 || axis >= rank) {
@@ -190,7 +191,8 @@ class L2LossOp : public OpKernel {
       using T = decltype(tag);
       const T* in = t.data<T>();
       double acc = 0;
-      for (int64_t i = 0; i < t.num_elements(); ++i) {
+      const int64_t n = t.num_elements();
+      for (int64_t i = 0; i < n; ++i) {
         acc += static_cast<double>(in[i]) * in[i];
       }
       *out.data<T>() = static_cast<T>(acc / 2);

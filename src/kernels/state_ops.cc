@@ -101,7 +101,8 @@ class AssignUpdateOp : public OpKernel {
       using T = decltype(tag);
       T* p = ref->data<T>();
       const T* v = value.data<T>();
-      for (int64_t i = 0; i < ref->num_elements(); ++i) {
+      const int64_t n = ref->num_elements();
+      for (int64_t i = 0; i < n; ++i) {
         if constexpr (IsAdd) {
           p[i] += v[i];
         } else {
@@ -147,7 +148,8 @@ class ScatterOp : public OpKernel {
       dispatch_status = IndexDispatch(indices.dtype(), [&](auto itag) {
         using I = decltype(itag);
         const I* idx = indices.data<I>();
-        for (int64_t i = 0; i < indices.num_elements(); ++i) {
+        const int64_t count = indices.num_elements();
+        for (int64_t i = 0; i < count; ++i) {
           if (idx[i] < 0 || idx[i] >= rows) {
             index_status = OutOfRange("scatter index out of range");
             return;

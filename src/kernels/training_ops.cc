@@ -4,9 +4,11 @@
 // for performance-critical subcomputations" path.
 
 #include <cmath>
+#include <initializer_list>
 #include <mutex>
 
 #include "kernels/dispatch.h"
+#include "kernels/ewise_loop.h"
 #include "runtime/kernel.h"
 
 namespace tfrepro {
@@ -21,6 +23,19 @@ namespace {
   OP_REQUIRES(ctx, var->IsInitialized(),                                 \
               FailedPrecondition("variable used before initialization"))
 
+// The dense updates walk every operand over the variable's elements.
+Status CheckShapes(const Tensor& var,
+                   std::initializer_list<const Tensor*> operands) {
+  for (const Tensor* t : operands) {
+    if (t->shape() != var.shape()) {
+      return InvalidArgument("optimizer operand shape " +
+                             t->shape().DebugString() + " != variable shape " +
+                             var.shape().DebugString());
+    }
+  }
+  return Status::OK();
+}
+
 class ApplyGradientDescentOp : public OpKernel {
  public:
   using OpKernel::OpKernel;
@@ -29,14 +44,12 @@ class ApplyGradientDescentOp : public OpKernel {
     Tensor alpha = ctx->input(1);
     Tensor delta = ctx->input(2);
     std::lock_guard<std::mutex> lock(*mu);
-    OP_REQUIRES(ctx, var->shape() == delta.shape(),
-                InvalidArgument("ApplyGradientDescent shape mismatch"));
+    OP_REQUIRES_OK(ctx, CheckShapes(*var, {&delta}));
     OP_REQUIRES_OK(ctx, FloatDispatch(var->dtype(), [&](auto tag) {
       using T = decltype(tag);
-      T a = *alpha.data<T>();
-      T* v = var->data<T>();
-      const T* d = delta.data<T>();
-      for (int64_t i = 0; i < var->num_elements(); ++i) v[i] -= a * d[i];
+      const T a = *alpha.data<T>();
+      ForEachElement(var->num_elements(), [a](T& v, T d) { v -= a * d; },
+                     var->data<T>(), delta.data<T>());
     }));
     ctx->forward_ref_input_to_output(0, 0);
   }
@@ -54,17 +67,18 @@ class ApplyMomentumOp : public OpKernel {
     Tensor grad = ctx->input(3);
     Tensor momentum = ctx->input(4);
     std::lock_guard<std::mutex> lock(*mu_var);
+    OP_REQUIRES_OK(ctx, CheckShapes(*var, {accum, &grad}));
     OP_REQUIRES_OK(ctx, FloatDispatch(var->dtype(), [&](auto tag) {
       using T = decltype(tag);
-      T l = *lr.data<T>();
-      T m = *momentum.data<T>();
-      T* v = var->data<T>();
-      T* a = accum->data<T>();
-      const T* g = grad.data<T>();
-      for (int64_t i = 0; i < var->num_elements(); ++i) {
-        a[i] = m * a[i] + g[i];
-        v[i] -= l * a[i];
-      }
+      const T l = *lr.data<T>();
+      const T m = *momentum.data<T>();
+      ForEachElement(
+          var->num_elements(),
+          [l, m](T& v, T& a, T g) {
+            a = m * a + g;
+            v -= l * a;
+          },
+          var->data<T>(), accum->data<T>(), grad.data<T>());
     }));
     ctx->forward_ref_input_to_output(0, 0);
   }
@@ -81,16 +95,17 @@ class ApplyAdagradOp : public OpKernel {
     Tensor lr = ctx->input(2);
     Tensor grad = ctx->input(3);
     std::lock_guard<std::mutex> lock(*mu_var);
+    OP_REQUIRES_OK(ctx, CheckShapes(*var, {accum, &grad}));
     OP_REQUIRES_OK(ctx, FloatDispatch(var->dtype(), [&](auto tag) {
       using T = decltype(tag);
-      T l = *lr.data<T>();
-      T* v = var->data<T>();
-      T* a = accum->data<T>();
-      const T* g = grad.data<T>();
-      for (int64_t i = 0; i < var->num_elements(); ++i) {
-        a[i] += g[i] * g[i];
-        v[i] -= l * g[i] / static_cast<T>(std::sqrt(static_cast<double>(a[i])));
-      }
+      const T l = *lr.data<T>();
+      ForEachElement(
+          var->num_elements(),
+          [l](T& v, T& a, T g) {
+            a += g * g;
+            v -= l * g / static_cast<T>(std::sqrt(static_cast<double>(a)));
+          },
+          var->data<T>(), accum->data<T>(), grad.data<T>());
     }));
     ctx->forward_ref_input_to_output(0, 0);
   }
@@ -110,23 +125,24 @@ class ApplyAdadeltaOp : public OpKernel {
     Tensor epsilon = ctx->input(5);
     Tensor grad = ctx->input(6);
     std::lock_guard<std::mutex> lock(*mu_var);
+    OP_REQUIRES_OK(ctx, CheckShapes(*var, {accum, accum_update, &grad}));
     OP_REQUIRES_OK(ctx, FloatDispatch(var->dtype(), [&](auto tag) {
       using T = decltype(tag);
-      T l = *lr.data<T>();
-      T r = *rho.data<T>();
-      T eps = *epsilon.data<T>();
-      T* v = var->data<T>();
-      T* a = accum->data<T>();
-      T* u = accum_update->data<T>();
-      const T* g = grad.data<T>();
-      for (int64_t i = 0; i < var->num_elements(); ++i) {
-        a[i] = r * a[i] + (T{1} - r) * g[i] * g[i];
-        T update = static_cast<T>(std::sqrt(static_cast<double>(u[i] + eps)) /
-                                  std::sqrt(static_cast<double>(a[i] + eps))) *
-                   g[i];
-        u[i] = r * u[i] + (T{1} - r) * update * update;
-        v[i] -= l * update;
-      }
+      const T l = *lr.data<T>();
+      const T r = *rho.data<T>();
+      const T eps = *epsilon.data<T>();
+      ForEachElement(
+          var->num_elements(),
+          [l, r, eps](T& v, T& a, T& u, T g) {
+            a = r * a + (T{1} - r) * g * g;
+            T update = static_cast<T>(std::sqrt(static_cast<double>(u + eps)) /
+                                      std::sqrt(static_cast<double>(a + eps))) *
+                       g;
+            u = r * u + (T{1} - r) * update * update;
+            v -= l * update;
+          },
+          var->data<T>(), accum->data<T>(), accum_update->data<T>(),
+          grad.data<T>());
     }));
     ctx->forward_ref_input_to_output(0, 0);
   }
@@ -147,24 +163,23 @@ class ApplyRMSPropOp : public OpKernel {
     Tensor epsilon = ctx->input(6);
     Tensor grad = ctx->input(7);
     std::lock_guard<std::mutex> lock(*mu_var);
+    OP_REQUIRES_OK(ctx, CheckShapes(*var, {ms, mom, &grad}));
     OP_REQUIRES_OK(ctx, FloatDispatch(var->dtype(), [&](auto tag) {
       using T = decltype(tag);
-      T l = *lr.data<T>();
-      T r = *rho.data<T>();
-      T m = *momentum.data<T>();
-      T eps = *epsilon.data<T>();
-      T* v = var->data<T>();
-      T* msp = ms->data<T>();
-      T* momp = mom->data<T>();
-      const T* g = grad.data<T>();
-      for (int64_t i = 0; i < var->num_elements(); ++i) {
-        msp[i] = r * msp[i] + (T{1} - r) * g[i] * g[i];
-        momp[i] = m * momp[i] +
-                  l * g[i] /
-                      static_cast<T>(
-                          std::sqrt(static_cast<double>(msp[i] + eps)));
-        v[i] -= momp[i];
-      }
+      const T l = *lr.data<T>();
+      const T r = *rho.data<T>();
+      const T m = *momentum.data<T>();
+      const T eps = *epsilon.data<T>();
+      ForEachElement(
+          var->num_elements(),
+          [l, r, m, eps](T& v, T& msv, T& momv, T g) {
+            msv = r * msv + (T{1} - r) * g * g;
+            momv = m * momv +
+                   l * g /
+                       static_cast<T>(std::sqrt(static_cast<double>(msv + eps)));
+            v -= momv;
+          },
+          var->data<T>(), ms->data<T>(), mom->data<T>(), grad.data<T>());
     }));
     ctx->forward_ref_input_to_output(0, 0);
   }
@@ -187,6 +202,7 @@ class ApplyAdamOp : public OpKernel {
     Tensor epsilon = ctx->input(8);
     Tensor grad = ctx->input(9);
     std::lock_guard<std::mutex> lock(*mu_var);
+    OP_REQUIRES_OK(ctx, CheckShapes(*var, {m, v_acc, &grad}));
     OP_REQUIRES_OK(ctx, FloatDispatch(var->dtype(), [&](auto tag) {
       using T = decltype(tag);
       T b1p = *beta1_power.data<T>();
@@ -198,16 +214,15 @@ class ApplyAdamOp : public OpKernel {
       T alpha = l *
                 static_cast<T>(std::sqrt(1.0 - static_cast<double>(b2p))) /
                 (T{1} - b1p);
-      T* v = var->data<T>();
-      T* mp = m->data<T>();
-      T* vp = v_acc->data<T>();
-      const T* g = grad.data<T>();
-      for (int64_t i = 0; i < var->num_elements(); ++i) {
-        mp[i] += (T{1} - b1) * (g[i] - mp[i]);
-        vp[i] += (T{1} - b2) * (g[i] * g[i] - vp[i]);
-        v[i] -= alpha * mp[i] /
-                (static_cast<T>(std::sqrt(static_cast<double>(vp[i]))) + eps);
-      }
+      ForEachElement(
+          var->num_elements(),
+          [alpha, b1, b2, eps](T& v, T& mv, T& vv, T g) {
+            mv += (T{1} - b1) * (g - mv);
+            vv += (T{1} - b2) * (g * g - vv);
+            v -= alpha * mv /
+                 (static_cast<T>(std::sqrt(static_cast<double>(vv))) + eps);
+          },
+          var->data<T>(), m->data<T>(), v_acc->data<T>(), grad.data<T>());
     }));
     ctx->forward_ref_input_to_output(0, 0);
   }
@@ -237,7 +252,8 @@ class SparseApplyGradientDescentOp : public OpKernel {
       dispatch_status = IndexDispatch(indices.dtype(), [&](auto itag) {
         using I = decltype(itag);
         const I* idx = indices.data<I>();
-        for (int64_t i = 0; i < indices.num_elements(); ++i) {
+        const int64_t count = indices.num_elements();
+        for (int64_t i = 0; i < count; ++i) {
           if (idx[i] < 0 || idx[i] >= rows) {
             index_status = OutOfRange("sparse update index out of range");
             return;
@@ -279,7 +295,8 @@ class SparseApplyAdagradOp : public OpKernel {
       dispatch_status = IndexDispatch(indices.dtype(), [&](auto itag) {
         using I = decltype(itag);
         const I* idx = indices.data<I>();
-        for (int64_t i = 0; i < indices.num_elements(); ++i) {
+        const int64_t count = indices.num_elements();
+        for (int64_t i = 0; i < count; ++i) {
           if (idx[i] < 0 || idx[i] >= rows) {
             index_status = OutOfRange("sparse update index out of range");
             return;

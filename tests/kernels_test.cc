@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <thread>
 
 #include "graph/ops.h"
+#include "kernels/elementwise_functors.h"
 #include "kernels/gemm.h"
 #include "runtime/session.h"
 
@@ -864,6 +866,455 @@ TEST(KernelsTest, BiasAddRankThree) {
   EXPECT_EQ(r.flat<float>(0), 10.0f);
   EXPECT_EQ(r.flat<float>(1), 20.0f);
   EXPECT_EQ(r.flat<float>(7), 20.0f);
+}
+
+// Reference loops for the kernels on kernels/ewise_loop.h: the plain scalar
+// loops those kernels ran before it, applying the same per-element
+// arithmetic. Each kernel must match its reference bit for bit (memcmp) on
+// inputs that mix signs with +-0, +-Inf and NaN, at lengths around the
+// helper's block of 8 and at the convnet's 1 MB activations. The one
+// exception is which NaN a NaN result is: IEEE 754 leaves open which input
+// NaN an operation returns, and GCC swaps the operands of + and * freely,
+// so a sum of -NaN (from Inf - Inf) and NaN may come out as either.
+const int64_t kEwiseLengths[] = {0, 1, 7, 8, 9, 17, 262144};
+
+template <typename T>
+Tensor SpecialTensor(std::mt19937* rng, const TensorShape& shape) {
+  const T special[] = {T{0}, -T{0}, std::numeric_limits<T>::infinity(),
+                       -std::numeric_limits<T>::infinity(),
+                       std::numeric_limits<T>::quiet_NaN()};
+  Tensor t(DataTypeToEnum<T>::value, shape);
+  const int64_t n = t.num_elements();
+  for (int64_t i = 0; i < n; ++i) {
+    const int pick = std::uniform_int_distribution<int>(0, 15)(*rng);
+    t.flat<T>(i) = pick < 5 ? special[pick]
+                            : std::uniform_real_distribution<T>(-2, 2)(*rng);
+  }
+  return t;
+}
+
+// The reference tensor with element i set to f(i).
+template <typename T, typename F>
+Tensor ReferenceTensor(const TensorShape& shape, F&& f) {
+  Tensor t(DataTypeToEnum<T>::value, shape);
+  const int64_t n = t.num_elements();
+  for (int64_t i = 0; i < n; ++i) t.flat<T>(i) = f(i);
+  return t;
+}
+
+template <typename T>
+void ExpectBitIdentical(const Tensor& got, const Tensor& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  const int64_t n = want.num_elements();
+  for (int64_t i = 0; i < n; ++i) {
+    if constexpr (std::is_floating_point_v<T>) {
+      if (std::isnan(got.data<T>()[i]) && std::isnan(want.data<T>()[i])) {
+        continue;
+      }
+    }
+    ASSERT_EQ(std::memcmp(got.data<T>() + i, want.data<T>() + i, sizeof(T)),
+              0)
+        << what << " at element " << i << ": " << got.data<T>()[i]
+        << " vs " << want.data<T>()[i];
+  }
+}
+
+// Runs `op` with T = the first input's dtype over Const inputs.
+Tensor EvalOp(const std::string& op, const std::vector<Tensor>& inputs) {
+  return Eval([&](GraphBuilder* b) {
+    NodeBuilder node = b->Op(op);
+    for (const Tensor& t : inputs) node.Input(Const(b, t));
+    return node.Attr("T", inputs[0].dtype()).Finalize();
+  });
+}
+
+template <typename T>
+void CheckUnaryOps() {
+  const std::vector<std::pair<const char*, T (*)(T)>> ops = {
+      {"Neg", &NegFunc::Run<T>},       {"Exp", &ExpFunc::Run<T>},
+      {"Log", &LogFunc::Run<T>},       {"Sqrt", &SqrtFunc::Run<T>},
+      {"Rsqrt", &RsqrtFunc::Run<T>},   {"Square", &SquareFunc::Run<T>},
+      {"Abs", &AbsFunc::Run<T>},       {"Sign", &SignFunc::Run<T>},
+      {"Tanh", &TanhFunc::Run<T>},     {"Sigmoid", &SigmoidFunc::Run<T>},
+      {"Relu", &ReluFunc::Run<T>},     {"Floor", &FloorFunc::Run<T>},
+      {"Ceil", &CeilFunc::Run<T>},     {"Reciprocal", &ReciprocalFunc::Run<T>},
+  };
+  std::mt19937 rng(21);
+  for (int64_t n : kEwiseLengths) {
+    const Tensor x = SpecialTensor<T>(&rng, TensorShape({n}));
+    for (const auto& [name, fn] : ops) {
+      const Tensor want = ReferenceTensor<T>(
+          x.shape(), [&](int64_t i) { return fn(x.flat<T>(i)); });
+      ExpectBitIdentical<T>(EvalOp(name, {x}), want,
+                            std::string(name) + " n=" + std::to_string(n));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EwiseKernelsTest, UnaryOpsMatchReferenceFloat) { CheckUnaryOps<float>(); }
+TEST(EwiseKernelsTest, UnaryOpsMatchReferenceDouble) {
+  CheckUnaryOps<double>();
+}
+
+template <typename T>
+void CheckActivationGrads() {
+  std::mt19937 rng(22);
+  for (int64_t n : kEwiseLengths) {
+    const TensorShape shape({n});
+    const Tensor a = SpecialTensor<T>(&rng, shape);
+    const Tensor b = SpecialTensor<T>(&rng, shape);
+    const std::string len = " n=" + std::to_string(n);
+    // ReluGrad(g = a, x = b).
+    ExpectBitIdentical<T>(
+        EvalOp("ReluGrad", {a, b}),
+        ReferenceTensor<T>(shape,
+                           [&](int64_t i) {
+                             return b.flat<T>(i) > T{0} ? a.flat<T>(i) : T{0};
+                           }),
+        "ReluGrad" + len);
+    // SigmoidGrad and TanhGrad (y = a, dy = b).
+    ExpectBitIdentical<T>(
+        EvalOp("SigmoidGrad", {a, b}),
+        ReferenceTensor<T>(shape,
+                           [&](int64_t i) {
+                             const T y = a.flat<T>(i);
+                             return b.flat<T>(i) * y * (T{1} - y);
+                           }),
+        "SigmoidGrad" + len);
+    ExpectBitIdentical<T>(
+        EvalOp("TanhGrad", {a, b}),
+        ReferenceTensor<T>(shape,
+                           [&](int64_t i) {
+                             const T y = a.flat<T>(i);
+                             return b.flat<T>(i) * (T{1} - y * y);
+                           }),
+        "TanhGrad" + len);
+    // AddN of three: ((0 + a) + b) + a.
+    const Tensor sum = Eval([&](GraphBuilder* g) {
+      return ops::AddN(g, {Const(g, a), Const(g, b), Const(g, a)});
+    });
+    ExpectBitIdentical<T>(
+        sum,
+        ReferenceTensor<T>(shape,
+                           [&](int64_t i) {
+                             T acc{0};
+                             acc += a.flat<T>(i);
+                             acc += b.flat<T>(i);
+                             acc += a.flat<T>(i);
+                             return acc;
+                           }),
+        "AddN" + len);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(EwiseKernelsTest, ActivationGradsAndAddNMatchReferenceFloat) {
+  CheckActivationGrads<float>();
+}
+TEST(EwiseKernelsTest, ActivationGradsAndAddNMatchReferenceDouble) {
+  CheckActivationGrads<double>();
+}
+
+// ReluGrad is a select: a non-finite gradient where x <= 0 gives +0, which
+// g * (x > 0) would turn into NaN.
+TEST(EwiseKernelsTest, ReluGradDropsNonFiniteGradientWhereInputNotPositive) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor g = Tensor::Vec<float>({inf, -inf, nan, nan, inf});
+  const Tensor x = Tensor::Vec<float>({0.0f, -0.0f, -1.0f, -inf, nan});
+  const Tensor got = EvalOp("ReluGrad", {g, x});
+  for (int64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(got.flat<float>(i), 0.0f) << i;
+    EXPECT_FALSE(std::signbit(got.flat<float>(i))) << i;
+  }
+}
+
+// The three contiguous cases of BroadcastBinary: equal shapes, scalar a,
+// scalar b.
+template <typename T, typename Functor, typename Out = T>
+void CheckBroadcastFastPaths(const std::string& op, std::mt19937* rng) {
+  for (int64_t n : kEwiseLengths) {
+    const TensorShape shape({n});
+    const Tensor a = SpecialTensor<T>(rng, shape);
+    const Tensor b = SpecialTensor<T>(rng, shape);
+    const Tensor s = SpecialTensor<T>(rng, TensorShape({}));
+    const T sv = s.flat<T>(0);
+    const std::string len = " n=" + std::to_string(n);
+    ExpectBitIdentical<Out>(
+        EvalOp(op, {a, b}),
+        ReferenceTensor<Out>(shape,
+                             [&](int64_t i) {
+                               return Functor::template Run<T>(a.flat<T>(i),
+                                                               b.flat<T>(i));
+                             }),
+        op + " equal shapes" + len);
+    ExpectBitIdentical<Out>(
+        EvalOp(op, {s, b}),
+        ReferenceTensor<Out>(shape,
+                             [&](int64_t i) {
+                               return Functor::template Run<T>(sv,
+                                                               b.flat<T>(i));
+                             }),
+        op + " scalar a" + len);
+    ExpectBitIdentical<Out>(
+        EvalOp(op, {a, s}),
+        ReferenceTensor<Out>(shape,
+                             [&](int64_t i) {
+                               return Functor::template Run<T>(a.flat<T>(i),
+                                                               sv);
+                             }),
+        op + " scalar b" + len);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+struct LessThan {
+  template <typename T>
+  static bool Run(T x, T y) {
+    return x < y;
+  }
+};
+
+template <typename T>
+void CheckBroadcastOps() {
+  std::mt19937 rng(23);
+  CheckBroadcastFastPaths<T, AddFunc>("Add", &rng);
+  CheckBroadcastFastPaths<T, SubFunc>("Sub", &rng);
+  CheckBroadcastFastPaths<T, MulFunc>("Mul", &rng);
+  CheckBroadcastFastPaths<T, DivFunc>("Div", &rng);
+  CheckBroadcastFastPaths<T, MaximumFunc>("Maximum", &rng);
+  CheckBroadcastFastPaths<T, MinimumFunc>("Minimum", &rng);
+  CheckBroadcastFastPaths<T, SquaredDifferenceFunc>("SquaredDifference",
+                                                    &rng);
+  CheckBroadcastFastPaths<T, LessThan, bool>("Less", &rng);
+}
+
+TEST(EwiseKernelsTest, BroadcastFastPathsMatchReferenceFloat) {
+  CheckBroadcastOps<float>();
+}
+TEST(EwiseKernelsTest, BroadcastFastPathsMatchReferenceDouble) {
+  CheckBroadcastOps<double>();
+}
+
+// BiasAdd and BiasAddGrad at rank 2 and rank 4, channel counts around the
+// block of 8; BiasAddGrad sums rows in order from 0.
+template <typename T>
+void CheckBiasOps() {
+  std::mt19937 rng(24);
+  for (const TensorShape& shape :
+       {TensorShape({5, 1}), TensorShape({3, 7}), TensorShape({4, 8}),
+        TensorShape({6, 9}), TensorShape({64, 512}), TensorShape({0, 17}),
+        TensorShape({2, 3, 2, 17}), TensorShape({64, 8, 8, 32}),
+        TensorShape({1, 2, 2, 3})}) {
+    const int64_t c = shape.dim(shape.rank() - 1);
+    const Tensor value = SpecialTensor<T>(&rng, shape);
+    const Tensor bias = SpecialTensor<T>(&rng, TensorShape({c}));
+    ExpectBitIdentical<T>(
+        EvalOp("BiasAdd", {value, bias}),
+        ReferenceTensor<T>(shape,
+                           [&](int64_t i) {
+                             return value.flat<T>(i) + bias.flat<T>(i % c);
+                           }),
+        "BiasAdd " + shape.DebugString());
+    const int64_t rows = shape.num_elements() / c;
+    ExpectBitIdentical<T>(
+        EvalOp("BiasAddGrad", {value}),
+        ReferenceTensor<T>(TensorShape({c}),
+                           [&](int64_t j) {
+                             T acc{0};
+                             for (int64_t r = 0; r < rows; ++r) {
+                               acc += value.flat<T>(r * c + j);
+                             }
+                             return acc;
+                           }),
+        "BiasAddGrad " + shape.DebugString());
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(EwiseKernelsTest, BiasOpsMatchReferenceFloat) { CheckBiasOps<float>(); }
+TEST(EwiseKernelsTest, BiasOpsMatchReferenceDouble) { CheckBiasOps<double>(); }
+
+// The direct MaxPool loop: per output element, taps in (kh, kw) order,
+// keeping a tap only when it is greater than the best so far.
+template <typename T>
+Tensor ReferenceMaxPool(const Tensor& in, const ConvGeometry& g) {
+  Tensor out(DataTypeToEnum<T>::value,
+             TensorShape({g.batch, g.out_h(), g.out_w(), g.in_c}));
+  for (int64_t b = 0; b < g.batch; ++b) {
+    for (int64_t oh = 0; oh < g.out_h(); ++oh) {
+      for (int64_t ow = 0; ow < g.out_w(); ++ow) {
+        for (int64_t c = 0; c < g.in_c; ++c) {
+          T best = std::numeric_limits<T>::lowest();
+          for (int64_t kh = 0; kh < g.k_h; ++kh) {
+            const int64_t ih = oh * g.stride + kh - g.pad_top();
+            if (ih < 0 || ih >= g.in_h) continue;
+            for (int64_t kw = 0; kw < g.k_w; ++kw) {
+              const int64_t iw = ow * g.stride + kw - g.pad_left();
+              if (iw < 0 || iw >= g.in_w) continue;
+              const T v =
+                  in.flat<T>(((b * g.in_h + ih) * g.in_w + iw) * g.in_c + c);
+              if (v > best) best = v;
+            }
+          }
+          out.flat<T>(((b * g.out_h() + oh) * g.out_w() + ow) * g.in_c + c) =
+              best;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Ties (values from a small set, +0 against -0 included), NaN inside
+// windows, SAME padding, and in_c of 1, 3, 8 and 19.
+template <typename T>
+void CheckMaxPool() {
+  std::mt19937 rng(25);
+  const T values[] = {T{-1}, T{0}, -T{0}, T{1}, T{2},
+                      std::numeric_limits<T>::quiet_NaN()};
+  for (int64_t in_c : {1, 3, 8, 19}) {
+    for (bool same : {true, false}) {
+      for (auto [k, stride] : {std::pair<int64_t, int64_t>{2, 2}, {3, 2},
+                               {3, 1}}) {
+        const ConvGeometry g{2, 7, 6, in_c, k, k, in_c, stride, same};
+        Tensor in(DataTypeToEnum<T>::value,
+                  TensorShape({g.batch, g.in_h, g.in_w, in_c}));
+        for (int64_t i = 0; i < in.num_elements(); ++i) {
+          in.flat<T>(i) = values[std::uniform_int_distribution<int>(0, 5)(rng)];
+        }
+        const std::vector<int64_t> ksize = {1, k, k, 1};
+        const std::vector<int64_t> strides = {1, stride, stride, 1};
+        const Tensor got = Eval([&](GraphBuilder* b) {
+          return ops::MaxPool(b, Const(b, in), ksize, strides,
+                              same ? "SAME" : "VALID");
+        });
+        ExpectBitIdentical<T>(got, ReferenceMaxPool<T>(in, g),
+                              "MaxPool in_c=" + std::to_string(in_c) +
+                                  " k=" + std::to_string(k) + " stride=" +
+                                  std::to_string(stride) +
+                                  (same ? " SAME" : " VALID"));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(EwiseKernelsTest, MaxPoolMatchesReferenceFloat) { CheckMaxPool<float>(); }
+TEST(EwiseKernelsTest, MaxPoolMatchesReferenceDouble) {
+  CheckMaxPool<double>();
+}
+
+// One ApplyGradientDescent or ApplyMomentum step on variables initialized
+// from special values; returns var and, for momentum, accum.
+template <typename T>
+std::vector<Tensor> RunApply(bool momentum, const Tensor& var0,
+                             const Tensor& accum0, const Tensor& grad, T lr,
+                             T mom) {
+  const DataType dt = DataTypeToEnum<T>::value;
+  Graph graph;
+  GraphBuilder b(&graph);
+  Output var = ops::Variable(&b, dt, var0.shape(), "var");
+  Output accum = ops::Variable(&b, dt, var0.shape(), "accum");
+  Node* init = ops::Group(&b,
+                          {ops::Assign(&b, var, Const(&b, var0)),
+                           ops::Assign(&b, accum, Const(&b, accum0))},
+                          "init");
+  Output apply =
+      momentum ? b.Op("ApplyMomentum")
+                     .Input(var)
+                     .Input(accum)
+                     .Input(Const(&b, Tensor::Scalar(lr)))
+                     .Input(Const(&b, grad))
+                     .Input(Const(&b, Tensor::Scalar(mom)))
+                     .Attr("T", dt)
+                     .Finalize()
+               : b.Op("ApplyGradientDescent")
+                     .Input(var)
+                     .Input(Const(&b, Tensor::Scalar(lr)))
+                     .Input(Const(&b, grad))
+                     .Attr("T", dt)
+                     .Finalize();
+  TF_CHECK_OK(b.status());
+  auto session = DirectSession::Create(graph);
+  TF_CHECK_OK(session.status());
+  TF_CHECK_OK(session.value()->Run({}, {}, {init->name()}, nullptr));
+  TF_CHECK_OK(session.value()->Run({}, {}, {apply.node->name()}, nullptr));
+  std::vector<Tensor> out;
+  TF_CHECK_OK(session.value()->Run({var.name(), accum.name()}, &out));
+  return out;
+}
+
+template <typename T>
+void CheckApplyOps() {
+  std::mt19937 rng(26);
+  const T lr = T(0.25), mom = T(0.875);
+  for (int64_t n : kEwiseLengths) {
+    const TensorShape shape({n});
+    const Tensor var0 = SpecialTensor<T>(&rng, shape);
+    const Tensor accum0 = SpecialTensor<T>(&rng, shape);
+    const Tensor grad = SpecialTensor<T>(&rng, shape);
+    const std::string len = " n=" + std::to_string(n);
+    std::vector<Tensor> sgd = RunApply<T>(false, var0, accum0, grad, lr, mom);
+    ExpectBitIdentical<T>(sgd[0],
+                          ReferenceTensor<T>(shape,
+                                             [&](int64_t i) {
+                                               T v = var0.flat<T>(i);
+                                               v -= lr * grad.flat<T>(i);
+                                               return v;
+                                             }),
+                          "ApplyGradientDescent" + len);
+    std::vector<Tensor> momentum =
+        RunApply<T>(true, var0, accum0, grad, lr, mom);
+    Tensor want_var(DataTypeToEnum<T>::value, shape);
+    Tensor want_accum(DataTypeToEnum<T>::value, shape);
+    for (int64_t i = 0; i < n; ++i) {
+      T a = accum0.flat<T>(i);
+      T v = var0.flat<T>(i);
+      a = mom * a + grad.flat<T>(i);
+      v -= lr * a;
+      want_accum.flat<T>(i) = a;
+      want_var.flat<T>(i) = v;
+    }
+    ExpectBitIdentical<T>(momentum[0], want_var, "ApplyMomentum var" + len);
+    ExpectBitIdentical<T>(momentum[1], want_accum,
+                          "ApplyMomentum accum" + len);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(EwiseKernelsTest, ApplyOpsMatchReferenceFloat) { CheckApplyOps<float>(); }
+TEST(EwiseKernelsTest, ApplyOpsMatchReferenceDouble) {
+  CheckApplyOps<double>();
+}
+
+TEST(EwiseKernelsTest, ApplyMomentumRejectsMismatchedShapes) {
+  Graph graph;
+  GraphBuilder b(&graph);
+  Output var = ops::Variable(&b, DataType::kFloat, TensorShape({4}), "var");
+  Output accum =
+      ops::Variable(&b, DataType::kFloat, TensorShape({4}), "accum");
+  Node* init = ops::Group(
+      &b,
+      {ops::Assign(&b, var, Const(&b, Tensor::Vec<float>({1, 2, 3, 4}))),
+       ops::Assign(&b, accum, Const(&b, Tensor::Vec<float>({0, 0, 0, 0})))},
+      "init");
+  Output apply = b.Op("ApplyMomentum")
+                     .Input(var)
+                     .Input(accum)
+                     .Input(Const(&b, 0.5f))
+                     .Input(Const(&b, Tensor::Vec<float>({1, 1})))
+                     .Input(Const(&b, 0.9f))
+                     .Attr("T", DataType::kFloat)
+                     .Finalize();
+  TF_CHECK_OK(b.status());
+  auto session = DirectSession::Create(graph);
+  TF_CHECK_OK(session.status());
+  TF_CHECK_OK(session.value()->Run({}, {}, {init->name()}, nullptr));
+  EXPECT_FALSE(
+      session.value()->Run({}, {}, {apply.node->name()}, nullptr).ok());
 }
 
 TEST(KernelsTest, DynamicPartitionEmptyPartitions) {

@@ -336,30 +336,28 @@ TEST(DynamicBatcherTest, MismatchedShapeGetsIndividualError) {
   options.batch_timeout_us = 100 * 1000;
   DynamicBatcher batcher([&] { return servable; }, options);
 
-  // Two concurrent requests with different shapes fill one batch; the
-  // mismatching one fails alone, the head-compatible one is served.
-  std::atomic<int> ok{0}, invalid{0};
+  // Two concurrent requests with different shapes. Whichever heads a batch
+  // defines its shape; one that joins with another shape fails alone with
+  // the mismatch InvalidArgument. The servable takes [1,4], so the [2]
+  // request never succeeds: heading a batch or alone it fails in the
+  // servable, joined to a [4] head it fails the shape check. The [4]
+  // request is served unless it joined a [2]-headed batch.
+  Status wide, narrow;
   std::vector<std::thread> clients;
   clients.emplace_back([&] {
-    DynamicBatcher::Response r =
-        batcher.RunOne(Tensor::Vec<float>({0, 0, 0, 0}));
-    if (r.status.ok()) ok.fetch_add(1);
+    wide = batcher.RunOne(Tensor::Vec<float>({0, 0, 0, 0})).status;
   });
-  clients.emplace_back([&] {
-    DynamicBatcher::Response r = batcher.RunOne(Tensor::Vec<float>({0, 0}));
-    if (r.status.ok()) {
-      ok.fetch_add(1);
-    } else if (r.status.code() == Code::kInvalidArgument) {
-      invalid.fetch_add(1);
-    }
-  });
+  clients.emplace_back(
+      [&] { narrow = batcher.RunOne(Tensor::Vec<float>({0, 0})).status; });
   for (std::thread& t : clients) t.join();
-  // Whichever request headed the batch defines the batch shape; the other
-  // can either land in the same batch (individual InvalidArgument) or in
-  // its own later batch (served fine). Either way nothing hangs or crashes
-  // and at least one request is served.
-  EXPECT_GE(ok.load(), 1);
-  EXPECT_EQ(ok.load() + invalid.load(), 2);
+  auto mismatched = [](const Status& s) {
+    return s.code() == Code::kInvalidArgument &&
+           s.message().find("mismatch within batch") != std::string::npos;
+  };
+  EXPECT_FALSE(narrow.ok());
+  EXPECT_TRUE(wide.ok() || mismatched(wide)) << wide.ToString();
+  // Only one of the two can head the batch they share.
+  EXPECT_FALSE(mismatched(wide) && mismatched(narrow));
 }
 
 TEST(ServingIntegrationTest, HotSwapLosesNoRequests) {
