@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus a ThreadSanitizer pass over the concurrency-heavy
 # tests (DESIGN.md §8, §9), an AddressSanitizer pass over the kernel tests
-# (DESIGN.md §15) and a bench smoke against the committed hot-path
-# baseline.
+# (DESIGN.md §15) and the byte decoders (DESIGN.md §11) and a bench smoke
+# against the committed hot-path baseline.
 #
-#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, ASan kernels, bench (executor, Relu-vs-copy, serving) + profiler + optimizer + input smoke
+#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, ASan kernels+decoders, bench (executor, Relu-vs-copy, serving) + profiler + optimizer + input smoke
 #   scripts/check.sh --tsan-only
-#   scripts/check.sh --asan-kernels
+#   scripts/check.sh --asan-only  # also accepted as --asan-kernels
 #   scripts/check.sh --bench-only
 #   scripts/check.sh --socket-only
 #   scripts/check.sh --profiler-only
@@ -62,11 +62,15 @@ run_tsan() {
   done
 }
 
-# ASan over the kernels: the GEMM's packing tails and the im2col/col2im
-# chunk edges are where an out-of-bounds read would come from, and the
-# reference sweeps in kernels_test walk every ragged edge.
-ASAN_TESTS=(kernels_test nn_test gradients_test)
-run_asan_kernels() {
+# ASan over the kernels and the decoders. Kernels: the GEMM's packing
+# tails and the im2col/col2im chunk edges are where an out-of-bounds read
+# would come from, and the reference sweeps in kernels_test walk every
+# ragged edge. Decoders: codec_fuzz_test feeds every core/bytes.h decoder
+# truncated and mutated input; the tensor, rpc, profiler (StepStats) and
+# train (checkpoint) tests cover their round trips.
+ASAN_TESTS=(kernels_test nn_test gradients_test codec_fuzz_test tensor_test
+            rpc_transport_test profiler_test train_test)
+run_asan() {
   echo "== ASan (TFREPRO_SANITIZE=address): ${ASAN_TESTS[*]} =="
   cmake -B build-asan -S . -DTFREPRO_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target "${ASAN_TESTS[@]}"
@@ -279,8 +283,8 @@ case "${1:-}" in
   --tsan-only)
     run_tsan
     ;;
-  --asan-kernels)
-    run_asan_kernels
+  --asan-only|--asan-kernels)
+    run_asan
     ;;
   --bench-only)
     run_bench_smoke
@@ -303,7 +307,7 @@ case "${1:-}" in
     run_tier1
     run_socket
     run_tsan
-    run_asan_kernels
+    run_asan
     run_bench_smoke
     run_kernel_ratio_smoke
     run_serving_bench_smoke

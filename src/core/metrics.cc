@@ -104,8 +104,6 @@ int64_t RegistrySnapshot::TotalValue(const std::string& name) const {
   return total;
 }
 
-namespace {
-
 void AppendJsonString(std::ostringstream* os, const std::string& s) {
   *os << '"';
   for (char c : s) {
@@ -134,6 +132,8 @@ void AppendJsonString(std::ostringstream* os, const std::string& s) {
   }
   *os << '"';
 }
+
+namespace {
 
 void AppendTags(std::ostringstream* os, const TagMap& tags) {
   *os << "{";

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,6 +39,11 @@ namespace metrics {
 int64_t NowMicros();
 
 using TagMap = std::map<std::string, std::string>;
+
+// Writes `s` to `os` as a quoted JSON string, escaping quotes, backslashes
+// and control characters. Every JSON exporter (metrics snapshots, Chrome
+// traces, profiles) writes its strings through this one function.
+void AppendJsonString(std::ostringstream* os, const std::string& s);
 
 class Counter {
  public:

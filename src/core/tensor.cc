@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "core/bytes.h"
+
 namespace tfrepro {
 
 Tensor::Tensor(DataType dtype, const TensorShape& shape)
@@ -136,21 +138,6 @@ Status Tensor::CopyDataFrom(const Tensor& other) {
   return Status::OK();
 }
 
-namespace {
-
-void AppendInt64(std::string* out, int64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadInt64(const std::string& in, size_t* offset, int64_t* v) {
-  if (*offset + sizeof(int64_t) > in.size()) return false;
-  std::memcpy(v, in.data() + *offset, sizeof(int64_t));
-  *offset += sizeof(int64_t);
-  return true;
-}
-
-}  // namespace
-
 void Tensor::AppendToBytes(std::string* out) const {
   AppendInt64(out, static_cast<int64_t>(dtype_));
   if (!IsInitialized()) {
@@ -159,13 +146,9 @@ void Tensor::AppendToBytes(std::string* out) const {
     // dead tensors across a process boundary (§3.4 deadness propagation).
     return;
   }
-  AppendInt64(out, shape_.rank());
-  for (int i = 0; i < shape_.rank(); ++i) AppendInt64(out, shape_.dim(i));
+  AppendShape(out, shape_);
   if (dtype_ == DataType::kString) {
-    for (const std::string& s : buffer_->strings) {
-      AppendInt64(out, static_cast<int64_t>(s.size()));
-      out->append(s);
-    }
+    for (const std::string& s : buffer_->strings) AppendString(out, s);
   } else {
     out->append(buffer_->bytes.data(), buffer_->bytes.size());
   }
@@ -174,47 +157,40 @@ void Tensor::AppendToBytes(std::string* out) const {
 Result<Tensor> Tensor::ParseFromBytes(const std::string& bytes,
                                       size_t* offset) {
   int64_t dtype_val = 0;
-  int64_t rank = 0;
   if (!ReadInt64(bytes, offset, &dtype_val)) {
     return DataLoss("truncated tensor header");
   }
   if (dtype_val == static_cast<int64_t>(DataType::kInvalid)) {
     return Tensor();  // uninitialized tensor: header only, no buffer
   }
-  if (!ReadInt64(bytes, offset, &rank)) {
-    return DataLoss("truncated tensor header");
-  }
-  if (rank < 0 || rank > 16) {
-    return DataLoss("corrupt tensor rank " + std::to_string(rank));
-  }
-  std::vector<int64_t> dims(rank);
-  for (int64_t i = 0; i < rank; ++i) {
-    if (!ReadInt64(bytes, offset, &dims[i])) {
-      return DataLoss("truncated tensor dims");
-    }
-  }
-  TF_RETURN_IF_ERROR(ValidateShape(dims));
-  DataType dtype = static_cast<DataType>(dtype_val);
-  if (DataTypeSize(dtype) == 0 && dtype != DataType::kString) {
+  // Values carry no ref types; anything else outside the enum is corrupt.
+  if (dtype_val < 0 || dtype_val > static_cast<int64_t>(DataType::kUint8)) {
     return DataLoss("corrupt tensor dtype " + std::to_string(dtype_val));
   }
-  Tensor t(dtype, TensorShape(dims));
+  const DataType dtype = static_cast<DataType>(dtype_val);
+  TensorShape shape;
+  TF_RETURN_IF_ERROR(ReadShape(bytes, offset, &shape));
+  // Check the payload fits before Tensor(dtype, shape) sizes a buffer from
+  // the shape: each string element takes at least its 8-byte length. The
+  // product is overflow-checked (dims [2^31, 2^31] of float would wrap to
+  // 0 bytes).
+  const size_t elem_bytes =
+      dtype == DataType::kString ? sizeof(int64_t) : DataTypeSize(dtype);
+  size_t min_bytes = 0;
+  if (__builtin_mul_overflow(static_cast<size_t>(shape.num_elements()),
+                             elem_bytes, &min_bytes) ||
+      min_bytes > bytes.size() - *offset) {
+    return DataLoss("truncated tensor data");
+  }
+  Tensor t(dtype, shape);
   if (dtype == DataType::kString) {
-    const int64_t n = t.num_elements();
-    for (int64_t i = 0; i < n; ++i) {
-      int64_t len = 0;
-      if (!ReadInt64(bytes, offset, &len) || len < 0 ||
-          *offset + static_cast<size_t>(len) > bytes.size()) {
+    for (std::string& s : t.buffer_->strings) {
+      if (!ReadString(bytes, offset, &s)) {
         return DataLoss("truncated string element");
       }
-      t.str(i).assign(bytes.data() + *offset, len);
-      *offset += len;
     }
   } else {
-    size_t nbytes = t.buffer_->bytes.size();
-    if (*offset + nbytes > bytes.size()) {
-      return DataLoss("truncated tensor data");
-    }
+    const size_t nbytes = t.buffer_->bytes.size();
     std::memcpy(t.buffer_->bytes.data(), bytes.data() + *offset, nbytes);
     *offset += nbytes;
   }

@@ -3,12 +3,14 @@
 #include <cassert>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 namespace tfrepro {
 
 TensorShape::TensorShape(std::initializer_list<int64_t> dims) : dims_(dims) {}
 
-TensorShape::TensorShape(const std::vector<int64_t>& dims) : dims_(dims) {}
+TensorShape::TensorShape(std::vector<int64_t> dims)
+    : dims_(std::move(dims)) {}
 
 int64_t TensorShape::dim(int i) const {
   assert(i >= 0 && i < rank());

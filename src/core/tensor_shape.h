@@ -16,7 +16,7 @@ class TensorShape {
  public:
   TensorShape() = default;  // scalar (rank 0)
   TensorShape(std::initializer_list<int64_t> dims);
-  explicit TensorShape(const std::vector<int64_t>& dims);
+  explicit TensorShape(std::vector<int64_t> dims);
 
   int rank() const { return static_cast<int>(dims_.size()); }
   int64_t dim(int i) const;

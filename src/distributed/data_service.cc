@@ -4,6 +4,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/bytes.h"
 #include "core/metrics.h"
 #include "runtime/device.h"
 
@@ -87,8 +88,8 @@ void DataServiceHandler::HandleGetElement(
   size_t off = 0;
   int64_t consumer = 0;
   int64_t cursor = 0;
-  if (!rpc::ReadInt64(body, &off, &consumer) ||
-      !rpc::ReadInt64(body, &off, &cursor)) {
+  if (!ReadInt64(body, &off, &consumer) ||
+      !ReadInt64(body, &off, &cursor)) {
     respond(InvalidArgument("malformed GetElement request"), std::string());
     return;
   }
@@ -155,15 +156,15 @@ void DataServiceHandler::HandleGetElement(
       if (!iter_status_.ok()) return iter_status_;
 
       if (exhausted_ && idx >= end_index_) {
-        rpc::AppendInt64(&resp, 1);  // end_of_epoch
+        AppendInt64(&resp, 1);  // end_of_epoch
       } else {
         auto it = buffer_.find(idx);
         if (it == buffer_.end()) {
           return Internal("element " + std::to_string(idx) +
                           " missing from service buffer");
         }
-        rpc::AppendInt64(&resp, 0);
-        rpc::AppendInt64(&resp, static_cast<int64_t>(it->second.size()));
+        AppendInt64(&resp, 0);
+        AppendInt64(&resp, static_cast<int64_t>(it->second.size()));
         for (const Tensor& t : it->second) t.AppendToBytes(&resp);
         buffer_.erase(it);
         ServedCounter()->Increment();
@@ -234,8 +235,8 @@ Status DataServiceClient::GetNext(data::Element* out, bool* end_of_epoch) {
       static_cast<int64_t>(options_.total_deadline_seconds * 1e6);
 
   std::string body;
-  rpc::AppendInt64(&body, options_.consumer);
-  rpc::AppendInt64(&body, cursor_.load());
+  AppendInt64(&body, options_.consumer);
+  AppendInt64(&body, cursor_.load());
 
   for (;;) {
     if (cancelled_.load()) return Cancelled("data service client cancelled");
@@ -269,7 +270,7 @@ Status DataServiceClient::GetNext(data::Element* out, bool* end_of_epoch) {
     }
 
     int64_t eoe = 0;
-    if (!rpc::ReadInt64(rbody, &off, &eoe)) {
+    if (!ReadInt64(rbody, &off, &eoe)) {
       return DataLoss("malformed GetElement response");
     }
     ClientWaitHistogram()->Record(
@@ -281,7 +282,7 @@ Status DataServiceClient::GetNext(data::Element* out, bool* end_of_epoch) {
       return Status::OK();
     }
     int64_t ncomponents = 0;
-    if (!rpc::ReadInt64(rbody, &off, &ncomponents) || ncomponents < 0) {
+    if (!ReadCount(rbody, &off, sizeof(int64_t), &ncomponents)) {
       return DataLoss("malformed GetElement response");
     }
     for (int64_t i = 0; i < ncomponents; ++i) {

@@ -7,12 +7,11 @@
 // frame_len counts everything after itself. Connections are multiplexed:
 // many requests may be in flight, responses are matched by request_id, and
 // long-poll calls (RecvTensor) may be answered far out of order. All
-// integers are host-endian — both ends always run on one machine (the
-// paper's cluster is ours shrunk to localhost), and the frame never leaves
-// it.
+// integers are little-endian, the byte order core/bytes.h defines and
+// checks at compile time.
 //
-// Bodies are built with the Append*/Read* helpers below (fixed-width ints,
-// length-prefixed strings), mirroring Tensor::AppendToBytes. A tensor with
+// Bodies are built with the core/bytes.h codec (fixed-width ints,
+// length-prefixed strings), like Tensor::AppendToBytes. A tensor with
 // a POD payload is sent minimal-copy: AppendTensorMeta puts only the
 // dtype/rank/dims header in the body and hands back a pointer to the
 // tensor's own buffer, which WriteFrame gathers with writev — the payload
@@ -26,6 +25,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/bytes.h"
 #include "core/status.h"
 #include "core/tensor.h"
 
@@ -64,14 +64,10 @@ struct Frame {
 // garbage lengths).
 constexpr uint32_t kMaxFrameBytes = 1u << 30;
 
-// --- body builders/parsers ---
+// --- body builders/parsers (on top of core/bytes.h) ---
 
-void AppendInt64(std::string* out, int64_t v);
-bool ReadInt64(const std::string& in, size_t* offset, int64_t* v);
-void AppendString(std::string* out, const std::string& s);
-bool ReadString(const std::string& in, size_t* offset, std::string* s);
-
-// Status as (code, message); OK is (0, "").
+// Status as (code, message); OK is (0, ""). ReadStatus rejects an unknown
+// code and an OK code with a message.
 void AppendStatus(std::string* out, const Status& s);
 bool ReadStatus(const std::string& in, size_t* offset, Status* s);
 

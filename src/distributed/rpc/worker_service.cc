@@ -237,8 +237,8 @@ void WorkerService::HandleRunGraph(
   if (!ReadString(body, &offset, &handle) ||
       !ReadInt64(body, &offset, &step_id) ||
       !ReadInt64(body, &offset, &num_fetches) ||
-      !ReadInt64(body, &offset, &num_feeds) || num_fetches < 0 ||
-      num_feeds < 0) {
+      !ReadCount(body, &offset, sizeof(int64_t), &num_feeds) ||
+      num_fetches < 0) {
     responder->Respond(InvalidArgument("malformed RunGraph request"),
                        std::string());
     return;

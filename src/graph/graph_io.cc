@@ -1,69 +1,27 @@
 #include "graph/graph_io.h"
 
-#include <cstring>
 #include <map>
 #include <vector>
+
+#include "core/bytes.h"
 
 namespace tfrepro {
 
 namespace {
 
-void AppendInt64(std::string* out, int64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
+// Minimum encoded sizes, for bounding counts read off the wire.
+constexpr size_t kMinNodeBytes = 5 * 8;  // four empty strings, attr count
+constexpr size_t kMinAttrBytes = 2 * 8;  // empty name, kind
+constexpr size_t kEdgeBytes = 4 * 8;
 
-bool ReadInt64(const std::string& in, size_t* offset, int64_t* v) {
-  if (*offset + sizeof(int64_t) > in.size()) return false;
-  std::memcpy(v, in.data() + *offset, sizeof(int64_t));
-  *offset += sizeof(int64_t);
+// A DataType value or a ref to one, as Node attrs may carry either.
+bool ReadDataType(const std::string& in, size_t* offset, DataType* dt) {
+  int64_t v = 0;
+  if (!ReadInt64(in, offset, &v)) return false;
+  const int64_t base = v >= kRefBit ? v - kRefBit : v;
+  if (base < 0 || base > static_cast<int64_t>(DataType::kUint8)) return false;
+  *dt = static_cast<DataType>(v);
   return true;
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendInt64(out, static_cast<int64_t>(s.size()));
-  out->append(s);
-}
-
-bool ReadString(const std::string& in, size_t* offset, std::string* s) {
-  int64_t len = 0;
-  if (!ReadInt64(in, offset, &len) || len < 0 ||
-      *offset + static_cast<size_t>(len) > in.size()) {
-    return false;
-  }
-  s->assign(in.data() + *offset, static_cast<size_t>(len));
-  *offset += static_cast<size_t>(len);
-  return true;
-}
-
-void AppendFloat(std::string* out, float v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadFloat(const std::string& in, size_t* offset, float* v) {
-  if (*offset + sizeof(float) > in.size()) return false;
-  std::memcpy(v, in.data() + *offset, sizeof(float));
-  *offset += sizeof(float);
-  return true;
-}
-
-void AppendShape(std::string* out, const TensorShape& shape) {
-  AppendInt64(out, shape.rank());
-  for (int i = 0; i < shape.rank(); ++i) AppendInt64(out, shape.dim(i));
-}
-
-Result<TensorShape> ReadShape(const std::string& in, size_t* offset) {
-  int64_t rank = 0;
-  if (!ReadInt64(in, offset, &rank) || rank < 0 || rank > 16) {
-    return DataLoss("corrupt shape rank");
-  }
-  std::vector<int64_t> dims(rank);
-  for (int64_t i = 0; i < rank; ++i) {
-    if (!ReadInt64(in, offset, &dims[i])) {
-      return DataLoss("truncated shape dims");
-    }
-  }
-  TF_RETURN_IF_ERROR(ValidateShape(dims));
-  return TensorShape(dims);
 }
 
 }  // namespace
@@ -130,39 +88,42 @@ Result<AttrValue> ParseAttrValueFromBytes(const std::string& bytes,
     return DataLoss("corrupt attr kind " + std::to_string(kind_val));
   }
   const AttrValue::Kind kind = static_cast<AttrValue::Kind>(kind_val);
-  const Status truncated = DataLoss("truncated attr value");
+  const Status bad = DataLoss("truncated or corrupt attr value");
+  int64_t n = 0;  // list length
   switch (kind) {
     case AttrValue::Kind::kNone:
       return AttrValue();
     case AttrValue::Kind::kInt: {
       int64_t v = 0;
-      if (!ReadInt64(bytes, offset, &v)) return truncated;
+      if (!ReadInt64(bytes, offset, &v)) return bad;
       return AttrValue(v);
     }
     case AttrValue::Kind::kFloat: {
       float v = 0;
-      if (!ReadFloat(bytes, offset, &v)) return truncated;
+      if (!ReadFloat(bytes, offset, &v)) return bad;
       return AttrValue(v);
     }
     case AttrValue::Kind::kBool: {
       int64_t v = 0;
-      if (!ReadInt64(bytes, offset, &v)) return truncated;
+      if (!ReadInt64(bytes, offset, &v) || (v != 0 && v != 1)) {
+        return bad;
+      }
       return AttrValue(v != 0);
     }
     case AttrValue::Kind::kString: {
       std::string v;
-      if (!ReadString(bytes, offset, &v)) return truncated;
+      if (!ReadString(bytes, offset, &v)) return bad;
       return AttrValue(std::move(v));
     }
     case AttrValue::Kind::kType: {
-      int64_t v = 0;
-      if (!ReadInt64(bytes, offset, &v)) return truncated;
-      return AttrValue(static_cast<DataType>(v));
+      DataType v = DataType::kInvalid;
+      if (!ReadDataType(bytes, offset, &v)) return bad;
+      return AttrValue(v);
     }
     case AttrValue::Kind::kShape: {
-      Result<TensorShape> shape = ReadShape(bytes, offset);
-      TF_RETURN_IF_ERROR(shape.status());
-      return AttrValue(std::move(shape).value());
+      TensorShape shape;
+      TF_RETURN_IF_ERROR(ReadShape(bytes, offset, &shape));
+      return AttrValue(std::move(shape));
     }
     case AttrValue::Kind::kTensor: {
       Result<Tensor> tensor = Tensor::ParseFromBytes(bytes, offset);
@@ -170,52 +131,42 @@ Result<AttrValue> ParseAttrValueFromBytes(const std::string& bytes,
       return AttrValue(std::move(tensor).value());
     }
     case AttrValue::Kind::kIntList: {
-      int64_t n = 0;
-      if (!ReadInt64(bytes, offset, &n) || n < 0) return truncated;
+      if (!ReadCount(bytes, offset, sizeof(int64_t), &n)) return bad;
       std::vector<int64_t> v(n);
-      for (int64_t i = 0; i < n; ++i) {
-        if (!ReadInt64(bytes, offset, &v[i])) return truncated;
+      for (int64_t& x : v) {
+        if (!ReadInt64(bytes, offset, &x)) return bad;
       }
       return AttrValue(std::move(v));
     }
     case AttrValue::Kind::kFloatList: {
-      int64_t n = 0;
-      if (!ReadInt64(bytes, offset, &n) || n < 0) return truncated;
+      if (!ReadCount(bytes, offset, sizeof(float), &n)) return bad;
       std::vector<float> v(n);
-      for (int64_t i = 0; i < n; ++i) {
-        if (!ReadFloat(bytes, offset, &v[i])) return truncated;
+      for (float& x : v) {
+        if (!ReadFloat(bytes, offset, &x)) return bad;
       }
       return AttrValue(std::move(v));
     }
     case AttrValue::Kind::kStringList: {
-      int64_t n = 0;
-      if (!ReadInt64(bytes, offset, &n) || n < 0) return truncated;
+      if (!ReadCount(bytes, offset, sizeof(int64_t), &n)) return bad;
       std::vector<std::string> v(n);
-      for (int64_t i = 0; i < n; ++i) {
-        if (!ReadString(bytes, offset, &v[i])) return truncated;
+      for (std::string& x : v) {
+        if (!ReadString(bytes, offset, &x)) return bad;
       }
       return AttrValue(std::move(v));
     }
     case AttrValue::Kind::kTypeList: {
-      int64_t n = 0;
-      if (!ReadInt64(bytes, offset, &n) || n < 0) return truncated;
+      if (!ReadCount(bytes, offset, sizeof(int64_t), &n)) return bad;
       DataTypeVector v(n);
-      for (int64_t i = 0; i < n; ++i) {
-        int64_t t = 0;
-        if (!ReadInt64(bytes, offset, &t)) return truncated;
-        v[i] = static_cast<DataType>(t);
+      for (DataType& x : v) {
+        if (!ReadDataType(bytes, offset, &x)) return bad;
       }
       return AttrValue(std::move(v));
     }
     case AttrValue::Kind::kShapeList: {
-      int64_t n = 0;
-      if (!ReadInt64(bytes, offset, &n) || n < 0) return truncated;
-      std::vector<TensorShape> v;
-      v.reserve(n);
-      for (int64_t i = 0; i < n; ++i) {
-        Result<TensorShape> shape = ReadShape(bytes, offset);
-        TF_RETURN_IF_ERROR(shape.status());
-        v.push_back(std::move(shape).value());
+      if (!ReadCount(bytes, offset, sizeof(int64_t), &n)) return bad;
+      std::vector<TensorShape> v(n);
+      for (TensorShape& x : v) {
+        TF_RETURN_IF_ERROR(ReadShape(bytes, offset, &x));
       }
       return AttrValue(std::move(v));
     }
@@ -262,7 +213,7 @@ Result<std::unique_ptr<Graph>> ParseGraphFromBytes(const std::string& bytes,
                                                    const OpRegistry* registry) {
   auto graph = std::make_unique<Graph>(registry);
   int64_t num_nodes = 0;
-  if (!ReadInt64(bytes, offset, &num_nodes) || num_nodes < 0) {
+  if (!ReadCount(bytes, offset, kMinNodeBytes, &num_nodes)) {
     return DataLoss("truncated graph node count");
   }
   std::vector<Node*> nodes;
@@ -275,7 +226,7 @@ Result<std::unique_ptr<Graph>> ParseGraphFromBytes(const std::string& bytes,
         !ReadString(bytes, offset, &def.op) ||
         !ReadString(bytes, offset, &def.device) ||
         !ReadString(bytes, offset, &assigned_device) ||
-        !ReadInt64(bytes, offset, &num_attrs) || num_attrs < 0) {
+        !ReadCount(bytes, offset, kMinAttrBytes, &num_attrs)) {
       return DataLoss("truncated graph node");
     }
     for (int64_t a = 0; a < num_attrs; ++a) {
@@ -283,9 +234,14 @@ Result<std::unique_ptr<Graph>> ParseGraphFromBytes(const std::string& bytes,
       if (!ReadString(bytes, offset, &attr_name)) {
         return DataLoss("truncated attr name");
       }
+      // AppendGraphToBytes writes attrs in AttrMap (sorted) order.
+      if (!def.attrs.empty() && attr_name <= def.attrs.rbegin()->first) {
+        return DataLoss("attr '" + attr_name + "' out of order");
+      }
       Result<AttrValue> attr = ParseAttrValueFromBytes(bytes, offset);
       TF_RETURN_IF_ERROR(attr.status());
-      def.attrs[attr_name] = std::move(attr).value();
+      def.attrs.emplace_hint(def.attrs.end(), std::move(attr_name),
+                             std::move(attr).value());
     }
     Result<Node*> node = graph->AddNode(std::move(def));
     TF_RETURN_IF_ERROR(node.status());
@@ -293,9 +249,13 @@ Result<std::unique_ptr<Graph>> ParseGraphFromBytes(const std::string& bytes,
     nodes.push_back(node.value());
   }
   int64_t num_edges = 0;
-  if (!ReadInt64(bytes, offset, &num_edges) || num_edges < 0) {
+  if (!ReadCount(bytes, offset, kEdgeBytes, &num_edges)) {
     return DataLoss("truncated graph edge count");
   }
+  // Edges arrive grouped by source node, as AppendGraphToBytes walks them;
+  // anything the graph would store differently from how it reads is
+  // rejected, so a parsed graph re-encodes to the same bytes.
+  int64_t prev_src = 0;
   for (int64_t i = 0; i < num_edges; ++i) {
     int64_t src = 0, src_output = 0, dst = 0, dst_input = 0;
     if (!ReadInt64(bytes, offset, &src) ||
@@ -304,12 +264,23 @@ Result<std::unique_ptr<Graph>> ParseGraphFromBytes(const std::string& bytes,
         !ReadInt64(bytes, offset, &dst_input)) {
       return DataLoss("truncated graph edge");
     }
-    if (src < 0 || src >= static_cast<int64_t>(nodes.size()) || dst < 0 ||
-        dst >= static_cast<int64_t>(nodes.size())) {
-      return DataLoss("graph edge references out-of-range node");
+    if (src < prev_src || src >= static_cast<int64_t>(nodes.size()) ||
+        dst < 0 || dst >= static_cast<int64_t>(nodes.size())) {
+      return DataLoss("graph edge references out-of-order or out-of-range "
+                      "node");
+    }
+    prev_src = src;
+    if (src_output != static_cast<int>(src_output) ||
+        dst_input != static_cast<int>(dst_input) ||
+        (src_output == kControlSlot) != (dst_input == kControlSlot)) {
+      return DataLoss("corrupt graph edge ports");
     }
     if (src_output == kControlSlot) {
+      const size_t before = nodes[src]->out_edges().size();
       graph->AddControlEdge(nodes[src], nodes[dst]);
+      if (nodes[src]->out_edges().size() == before) {
+        return DataLoss("repeated control edge");
+      }
     } else {
       Result<const Edge*> edge =
           graph->AddEdge(nodes[src], static_cast<int>(src_output), nodes[dst],

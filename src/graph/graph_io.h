@@ -1,9 +1,9 @@
 // Binary (de)serialization of graphs and attribute values, used by the
 // socket transport to ship per-device partitions to worker processes
-// (RegisterSubgraph over the wire, paper §3.3). The format mirrors
-// Tensor::AppendToBytes: fixed-width little-endian integers, length-prefixed
-// strings, appended to a growing byte string and parsed back with a moving
-// offset.
+// (RegisterSubgraph over the wire, paper §3.3). Built on the core/bytes.h
+// codec, like Tensor::AppendToBytes; every count is checked against the
+// bytes left before anything is sized from it, so corrupt input returns
+// DataLoss (or the graph's own validation error) and never crashes.
 //
 // Round-trip contract: nodes keep their name, op, requested and assigned
 // devices, and every attr kind (including Tensor attrs, so constant-folded

@@ -3,25 +3,16 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
+#include <set>
 #include <sstream>
+
+#include "core/bytes.h"
 
 namespace tfrepro {
 
 namespace {
 
 constexpr char kMagic[8] = {'T', 'F', 'R', 'C', 'K', 'P', 'T', '1'};
-
-void AppendInt64(std::string* out, int64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadInt64(const std::string& in, size_t* offset, int64_t* v) {
-  if (*offset + sizeof(int64_t) > in.size()) return false;
-  std::memcpy(v, in.data() + *offset, sizeof(int64_t));
-  *offset += sizeof(int64_t);
-  return true;
-}
 
 Result<std::string> ReadWholeFile(const std::string& filename) {
   std::ifstream in(filename, std::ios::binary);
@@ -42,8 +33,7 @@ Status WriteCheckpoint(
   bytes.append(kMagic, sizeof(kMagic));
   AppendInt64(&bytes, static_cast<int64_t>(entries.size()));
   for (const auto& [name, tensor] : entries) {
-    AppendInt64(&bytes, static_cast<int64_t>(name.size()));
-    bytes.append(name);
+    AppendString(&bytes, name);
     tensor.AppendToBytes(&bytes);
   }
   // Write via a temp file + rename for crash atomicity: a checkpoint that
@@ -67,11 +57,13 @@ Status WriteCheckpoint(
 
 namespace {
 
-// Shared scan over a checkpoint's entries.
-Status ScanCheckpoint(
-    const std::string& filename,
-    const std::function<bool(const std::string&, const std::string&, size_t*)>&
-        visit) {
+using Entries = std::vector<std::pair<std::string, Tensor>>;
+
+// Parses every entry of a checkpoint file. Any corrupt entry, a repeated
+// name or bytes after the last entry fail the whole read with DataLoss
+// naming the file and the entry: a damaged checkpoint never reads as a
+// shorter one.
+Result<Entries> ReadCheckpoint(const std::string& filename) {
   Result<std::string> bytes = ReadWholeFile(filename);
   TF_RETURN_IF_ERROR(bytes.status());
   const std::string& data = bytes.value();
@@ -81,64 +73,57 @@ Status ScanCheckpoint(
   }
   size_t offset = sizeof(kMagic);
   int64_t count = 0;
-  if (!ReadInt64(data, &offset, &count) || count < 0) {
+  // Each entry takes at least a name length and a tensor dtype.
+  if (!ReadCount(data, &offset, 2 * sizeof(int64_t), &count)) {
     return DataLoss("corrupt checkpoint header in '" + filename + "'");
   }
+  Entries entries;
+  entries.reserve(count);
+  std::set<std::string> names;
   for (int64_t i = 0; i < count; ++i) {
-    int64_t name_len = 0;
-    if (!ReadInt64(data, &offset, &name_len) || name_len < 0 ||
-        offset + static_cast<size_t>(name_len) > data.size()) {
-      return DataLoss("corrupt entry name in '" + filename + "'");
+    auto where = [&]() {
+      return "entry " + std::to_string(i) + " of '" + filename + "'";
+    };
+    std::string name;
+    if (!ReadString(data, &offset, &name)) {
+      return DataLoss("corrupt name in " + where());
     }
-    std::string name(data.data() + offset, name_len);
-    offset += name_len;
-    if (visit(name, data, &offset)) {
-      return Status::OK();
+    if (!names.insert(name).second) {
+      return DataLoss("repeated name '" + name + "' in " + where());
     }
+    Result<Tensor> t = Tensor::ParseFromBytes(data, &offset);
+    if (!t.ok()) {
+      return DataLoss("corrupt tensor '" + name + "' in " + where() + ": " +
+                      t.status().message());
+    }
+    entries.emplace_back(std::move(name), std::move(t).value());
   }
-  return Status::OK();
+  if (offset != data.size()) {
+    return DataLoss("trailing bytes after the last entry of '" + filename +
+                    "'");
+  }
+  return entries;
 }
 
 }  // namespace
 
 Result<Tensor> ReadCheckpointTensor(const std::string& filename,
                                     const std::string& tensor_name) {
-  Tensor found;
-  bool have = false;
-  Status scan = ScanCheckpoint(
-      filename, [&](const std::string& name, const std::string& data,
-                    size_t* offset) {
-        Result<Tensor> t = Tensor::ParseFromBytes(data, offset);
-        if (!t.ok()) {
-          return false;  // scan surfaces corruption via the parse below
-        }
-        if (name == tensor_name) {
-          found = std::move(t).value();
-          have = true;
-          return true;
-        }
-        return false;
-      });
-  TF_RETURN_IF_ERROR(scan);
-  if (!have) {
-    return NotFound("tensor '" + tensor_name + "' not found in checkpoint '" +
-                    filename + "'");
+  Result<Entries> entries = ReadCheckpoint(filename);
+  TF_RETURN_IF_ERROR(entries.status());
+  for (auto& [name, tensor] : entries.value()) {
+    if (name == tensor_name) return std::move(tensor);
   }
-  return found;
+  return NotFound("tensor '" + tensor_name + "' not found in checkpoint '" +
+                  filename + "'");
 }
 
 Result<std::vector<std::string>> ListCheckpointTensors(
     const std::string& filename) {
+  Result<Entries> entries = ReadCheckpoint(filename);
+  TF_RETURN_IF_ERROR(entries.status());
   std::vector<std::string> names;
-  Status scan = ScanCheckpoint(
-      filename, [&](const std::string& name, const std::string& data,
-                    size_t* offset) {
-        Result<Tensor> t = Tensor::ParseFromBytes(data, offset);
-        if (!t.ok()) return true;  // stop on corruption
-        names.push_back(name);
-        return false;
-      });
-  TF_RETURN_IF_ERROR(scan);
+  for (const auto& [name, tensor] : entries.value()) names.push_back(name);
   return names;
 }
 

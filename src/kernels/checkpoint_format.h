@@ -1,5 +1,6 @@
 // On-disk checkpoint format used by the Save/Restore kernels (paper §4.3).
-// Layout: magic, entry count, then (name, serialized tensor) pairs.
+// Layout: magic, entry count, then (name, serialized tensor) pairs, in the
+// core/bytes.h encoding.
 
 #ifndef TFREPRO_KERNELS_CHECKPOINT_FORMAT_H_
 #define TFREPRO_KERNELS_CHECKPOINT_FORMAT_H_
@@ -16,7 +17,12 @@ namespace tfrepro {
 Status WriteCheckpoint(const std::string& filename,
                        const std::vector<std::pair<std::string, Tensor>>& entries);
 
-// Reads one named tensor from a checkpoint file.
+// Both readers parse the whole file: a corrupt or truncated entry, a
+// repeated name or trailing bytes return DataLoss naming the file and the
+// entry, never a partial answer.
+
+// Reads one named tensor from a checkpoint file; NotFound when no entry
+// has that name.
 Result<Tensor> ReadCheckpointTensor(const std::string& filename,
                                     const std::string& tensor_name);
 

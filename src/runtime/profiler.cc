@@ -6,7 +6,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/metrics.h"
+
 namespace tfrepro {
+
+using metrics::AppendJsonString;
 
 namespace {
 
@@ -16,32 +20,6 @@ int BucketOf(double micros) {
     ++b;
   }
   return b;
-}
-
-void AppendJsonString(std::ostringstream* os, const std::string& s) {
-  *os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *os << "\\\"";
-        break;
-      case '\\':
-        *os << "\\\\";
-        break;
-      case '\n':
-        *os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *os << buf;
-        } else {
-          *os << c;
-        }
-    }
-  }
-  *os << '"';
 }
 
 void AppendFixed(std::ostringstream* os, double v) {
@@ -199,17 +177,6 @@ double ProfileStore::OpMeanMicros(const std::string& op) const {
     }
   }
   return count > 0 ? total / static_cast<double>(count) : -1.0;
-}
-
-double ProfileStore::MeanNodeSeconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t count = 0;
-  double total = 0.0;
-  for (const auto& [key, e] : entries_) {
-    count += e.count;
-    total += e.total_micros;
-  }
-  return count > 0 ? total / static_cast<double>(count) * 1e-6 : 0.0;
 }
 
 std::function<double(const Node&)> ProfileStore::CostFunction(

@@ -6,8 +6,7 @@
 //     min / max plus a log2-bucketed latency histogram per key, with a
 //     deterministic JSON dump and an atomic (tmp+rename) file writer. The
 //     store feeds back into the system: CostFunction() hands the placer a
-//     measured per-node cost, and src/sim consumes the overall dispatch
-//     mean via ObservedFrameworkProfile().
+//     measured per-node cost.
 //
 //   * ProfilerSession — the sampling policy. Owned by DirectSession and
 //     MasterSession; decides "trace this step?" every Nth Run with an exact
@@ -86,11 +85,6 @@ class ProfileStore {
   // or an op type; negative when never observed.
   double NodeMeanMicros(const std::string& node) const;
   double OpMeanMicros(const std::string& op) const;
-
-  // Mean per-node-execution latency in seconds over everything observed;
-  // 0 when empty. This is what replaces the sim cost model's static
-  // dispatch overhead.
-  double MeanNodeSeconds() const;
 
   // Cost callback for PlaceGraph's observed-cost mode: per-node mean when
   // the node was observed, else the op-type mean, else `default_micros`.

@@ -90,11 +90,11 @@ struct StepStats {
 
   // Byte (de)serialization for the RPC wire (DESIGN.md §12): a traced
   // RunGraph response carries the worker's StepStats back to the master.
-  // The encoding matches the rpc wire body helpers (host-endian int64s,
-  // int64-length-prefixed strings) without depending on them.
+  // Encoded with the core/bytes.h codec, like the rpc wire bodies.
   void AppendToBytes(std::string* out) const;
   // Parses one StepStats starting at *pos, advancing *pos past it. Returns
-  // false (leaving *out unspecified) on truncated or malformed input.
+  // false (leaving *out unspecified) on truncated or malformed input,
+  // including event counts the remaining bytes cannot hold.
   static bool ParseFromBytes(const std::string& data, size_t* pos,
                              StepStats* out);
 

@@ -22,15 +22,6 @@ FrameworkProfile NeonProfile() {
   return FrameworkProfile{"Neon", 4.4, 1600, 0.30, 5e-4};
 }
 
-FrameworkProfile ObservedProfile(const ProfileStore& store,
-                                 FrameworkProfile base) {
-  double mean_seconds = store.MeanNodeSeconds();
-  if (mean_seconds <= 0.0) return base;
-  base.name += "+observed";
-  base.dispatch_overhead_seconds = mean_seconds;
-  return base;
-}
-
 double LayerForwardSeconds(const nn::LayerSpec& layer, int64_t batch,
                            const DeviceProfile& device,
                            const FrameworkProfile& framework) {

@@ -19,7 +19,6 @@
 #include <string>
 
 #include "nn/model_zoo.h"
-#include "runtime/profiler.h"
 
 namespace tfrepro {
 namespace sim {
@@ -45,14 +44,6 @@ FrameworkProfile CaffeProfile();
 FrameworkProfile NeonProfile();
 FrameworkProfile TorchProfile();
 FrameworkProfile TensorFlowProfile();
-
-// Profile-guided calibration (DESIGN.md §12): replaces `base`'s static
-// per-op dispatch overhead with the mean per-node latency a ProfileStore
-// actually observed on this runtime. Compute-efficiency parameters are
-// kept from `base` (the store times CPU reference kernels, not the modeled
-// accelerator). Returns `base` unchanged when the store is empty.
-FrameworkProfile ObservedProfile(const ProfileStore& store,
-                                 FrameworkProfile base = TensorFlowProfile());
 
 // Seconds for one layer's forward pass over a whole batch.
 double LayerForwardSeconds(const nn::LayerSpec& layer, int64_t batch,

@@ -106,7 +106,6 @@ TEST(ProfileStoreTest, AggregatesPerKey) {
   EXPECT_DOUBLE_EQ(store.NodeMeanMicros("matmul1"), 200.0);
   EXPECT_DOUBLE_EQ(store.OpMeanMicros("Add"), 10.0);
   EXPECT_LT(store.NodeMeanMicros("never_ran"), 0.0);
-  EXPECT_GT(store.MeanNodeSeconds(), 0.0);
 }
 
 TEST(ProfileStoreTest, MergeIsOrderIndependent) {

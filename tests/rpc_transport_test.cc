@@ -1,5 +1,5 @@
-// Unit tests for the socket transport pieces (DESIGN.md §11): wire body
-// helpers, frame I/O, minimal-copy tensor serialization, the errno→Status
+// Unit tests for the socket transport pieces (DESIGN.md §11): the Status
+// body helper, frame I/O, minimal-copy tensor serialization, the errno→Status
 // mapping the retry machinery depends on, and the RpcChannel robustness
 // contract (deadlines, reconnect with backoff, fail-fast inside the
 // backoff window, pending-call teardown).
@@ -26,40 +26,7 @@ namespace distributed {
 namespace rpc {
 namespace {
 
-// --- body helpers ---
-
-TEST(WireBodyTest, Int64RoundTrip) {
-  std::string body;
-  AppendInt64(&body, 0);
-  AppendInt64(&body, -1);
-  AppendInt64(&body, INT64_MAX);
-  AppendInt64(&body, INT64_MIN);
-  size_t offset = 0;
-  int64_t v = 0;
-  ASSERT_TRUE(ReadInt64(body, &offset, &v));
-  EXPECT_EQ(v, 0);
-  ASSERT_TRUE(ReadInt64(body, &offset, &v));
-  EXPECT_EQ(v, -1);
-  ASSERT_TRUE(ReadInt64(body, &offset, &v));
-  EXPECT_EQ(v, INT64_MAX);
-  ASSERT_TRUE(ReadInt64(body, &offset, &v));
-  EXPECT_EQ(v, INT64_MIN);
-  EXPECT_EQ(offset, body.size());
-  EXPECT_FALSE(ReadInt64(body, &offset, &v));  // exhausted
-}
-
-TEST(WireBodyTest, StringRoundTripIncludingEmbeddedNul) {
-  std::string body;
-  AppendString(&body, "");
-  AppendString(&body, std::string("a\0b", 3));
-  size_t offset = 0;
-  std::string s;
-  ASSERT_TRUE(ReadString(body, &offset, &s));
-  EXPECT_EQ(s, "");
-  ASSERT_TRUE(ReadString(body, &offset, &s));
-  EXPECT_EQ(s, std::string("a\0b", 3));
-  EXPECT_EQ(offset, body.size());
-}
+// --- body helpers (the core/bytes.h cases live in codec_fuzz_test) ---
 
 TEST(WireBodyTest, StatusRoundTrip) {
   std::string body;
@@ -72,17 +39,6 @@ TEST(WireBodyTest, StatusRoundTrip) {
   ASSERT_TRUE(ReadStatus(body, &offset, &s));
   EXPECT_EQ(s.code(), Code::kUnavailable);
   EXPECT_EQ(s.message(), "task died");
-}
-
-TEST(WireBodyTest, TruncatedReadsFailCleanly) {
-  std::string body;
-  AppendString(&body, "hello");
-  for (size_t cut = 0; cut < body.size(); ++cut) {
-    std::string truncated = body.substr(0, cut);
-    size_t offset = 0;
-    std::string s;
-    EXPECT_FALSE(ReadString(truncated, &offset, &s)) << "cut at " << cut;
-  }
 }
 
 // --- errno mapping (one expectation per mapping the channel relies on) ---

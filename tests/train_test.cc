@@ -8,6 +8,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "graph/ops.h"
@@ -372,6 +373,33 @@ TEST(CheckpointFormatTest, MissingTensorReportsNotFound) {
   Result<std::vector<std::string>> names = ListCheckpointTensors(path);
   ASSERT_TRUE(names.ok());
   EXPECT_EQ(names.value(), (std::vector<std::string>{"a"}));
+}
+
+TEST(CheckpointFormatTest, EntryCutInsideItsTensorReportsDataLoss) {
+  std::string path = ::testing::TempDir() + "/cut_ckpt";
+  TF_CHECK_OK(WriteCheckpoint(path, {{"a", Tensor::Vec<float>({1, 2})},
+                                     {"b", Tensor::Vec<float>({3, 4, 5})}}));
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Drop the last float of "b": the cut lands inside the second tensor.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 4));
+  }
+  Result<std::vector<std::string>> names = ListCheckpointTensors(path);
+  ASSERT_FALSE(names.ok()) << "listed a truncated checkpoint";
+  EXPECT_EQ(names.status().code(), Code::kDataLoss);
+  EXPECT_NE(names.status().message().find("'b'"), std::string::npos)
+      << names.status();
+  EXPECT_NE(names.status().message().find(path), std::string::npos);
+  for (const char* name : {"a", "b"}) {
+    Result<Tensor> r = ReadCheckpointTensor(path, name);
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.status().code(), Code::kDataLoss) << name;
+  }
 }
 
 TEST(CheckpointFormatTest, WriteIsAtomicViaRename) {
