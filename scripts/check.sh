@@ -23,7 +23,7 @@ JOBS="$(nproc)"
 TSAN_TESTS=(metrics_test tracing_test fault_tolerance_test queue_test
             threadpool_test rendezvous_stress_test chaos_test
             serving_test session_stress_test optimizer_fuzz_test
-            dataset_test)
+            dataset_test data_service_test)
 # Three chaos seeds and five fuzz seeds under TSan keep the pass under a
 # few minutes; the full sweeps run in the regular tier-1 ctest.
 declare -A TSAN_FILTER=(

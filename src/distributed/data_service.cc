@@ -1,6 +1,7 @@
 #include "distributed/data_service.h"
 
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -41,6 +42,21 @@ metrics::Histogram* ClientWaitHistogram() {
   static metrics::Histogram* h =
       metrics::Registry::Global()->GetHistogram("data.service_wait_ms");
   return h;
+}
+
+// Elements one GetElement call asks for. A synchronous worker step pulls a
+// Batch of 32 records, so one call per step.
+constexpr int64_t kElementsPerCall = 32;
+
+// A run stops growing once its serialized elements pass this many bytes,
+// so large elements keep frames small (one element always fits: a run
+// holds at least one).
+constexpr size_t kResponseByteBudget = 1 << 20;
+
+// What a request cut short by the server's own shutdown answers: retryable,
+// so the client redials and the restarted task serves the same cursor.
+Status ShuttingDown() {
+  return Unavailable("data service shutting down; retry");
 }
 
 }  // namespace
@@ -88,8 +104,9 @@ void DataServiceHandler::HandleGetElement(
   size_t off = 0;
   int64_t consumer = 0;
   int64_t cursor = 0;
-  if (!ReadInt64(body, &off, &consumer) ||
-      !ReadInt64(body, &off, &cursor)) {
+  int64_t max_elements = 0;
+  if (!ReadInt64(body, &off, &consumer) || !ReadInt64(body, &off, &cursor) ||
+      !ReadInt64(body, &off, &max_elements) || off != body.size()) {
     respond(InvalidArgument("malformed GetElement request"), std::string());
     return;
   }
@@ -99,21 +116,28 @@ void DataServiceHandler::HandleGetElement(
   {
     std::lock_guard<std::mutex> lock(mu_);
     status = [&]() -> Status {
-      if (cancelled_.load()) return Cancelled("data service shut down");
+      if (cancelled_.load()) return ShuttingDown();
       if (!init_status_.ok()) return init_status_;
       const int64_t n = options_.num_consumers;
       if (consumer < 0 || consumer >= n) {
         return InvalidArgument("consumer " + std::to_string(consumer) +
                                " out of range [0, " + std::to_string(n) + ")");
       }
-      if (cursor < 0) {
-        return InvalidArgument("negative cursor " + std::to_string(cursor));
+      // The bound keeps (cursor + j) * n + consumer far from overflow for
+      // any run the byte budget admits.
+      if (cursor < 0 || cursor > std::numeric_limits<int64_t>::max() / 4 / n) {
+        return InvalidArgument("cursor " + std::to_string(cursor) +
+                               " out of range");
+      }
+      if (max_elements < 1) {
+        return InvalidArgument("max_elements " + std::to_string(max_elements) +
+                               " < 1");
       }
       ConsumerState& cs = consumers_[consumer];
       if (cursor == cs.last_cursor) {
         // The consumer never saw our previous answer (lost response, client
-        // retry after a deadline): retransmit the cached body verbatim so
-        // the element is delivered exactly once, never re-served fresh.
+        // retry after a deadline): retransmit the cached run verbatim so
+        // its elements are delivered exactly once, never re-served fresh.
         resp = cs.last_response;
         RetransmitsCounter()->Increment();
         return Status::OK();
@@ -126,56 +150,71 @@ void DataServiceHandler::HandleGetElement(
       }
       // Round-robin assignment: cursor k of consumer c owns the element
       // with global production index k*n + c. Requests ahead of next_cursor
-      // are legal — after a server restart the fresh iterator deterministically
-      // re-derives everything up to the consumer's position.
-      const int64_t idx = cursor * n + consumer;
-      while (iter_status_.ok() && !exhausted_ && next_index_ <= idx) {
-        if (cancelled_.load()) return Cancelled("data service shut down");
-        if (static_cast<int64_t>(buffer_.size()) >= options_.max_ahead) {
+      // are legal — after a server restart the fresh iterator
+      // deterministically re-derives everything up to the consumer's
+      // position.
+      std::string run;
+      int64_t count = 0;
+      bool end_of_epoch = false;
+      for (; count < max_elements && run.size() < kResponseByteBudget;
+           ++count) {
+        const int64_t idx = (cursor + count) * n + consumer;
+        while (iter_status_.ok() && !exhausted_ && next_index_ <= idx) {
+          if (cancelled_.load()) return ShuttingDown();
+          if (static_cast<int64_t>(buffer_.size()) >= options_.max_ahead) {
+            break;
+          }
+          Element element;
+          bool eos = false;
+          IteratorContext ictx;
+          Status s = iterator_->GetNext(&ictx, &element, &eos);
+          if (!s.ok()) {
+            iter_status_ = s;
+            break;
+          }
+          if (eos) {
+            exhausted_ = true;
+            end_index_ = next_index_;
+            break;
+          }
+          buffer_.emplace(next_index_, std::move(element));
+          ++next_index_;
+        }
+        // A pull cut short by Cancel fails the pipeline iterator; that is
+        // this task shutting down, not a pipeline error.
+        if (cancelled_.load()) return ShuttingDown();
+        if (exhausted_ && idx >= end_index_) {
+          end_of_epoch = true;
+          break;
+        }
+        auto it = buffer_.find(idx);
+        if (it == buffer_.end()) {
+          // Not produced: the pipeline failed, or max_ahead is full. The
+          // run so far goes out; the next request reports the cause.
+          if (count > 0) break;
+          if (!iter_status_.ok()) return iter_status_;
           return Unavailable(
               "pipeline buffer full (consumer " + std::to_string(consumer) +
               " is " + std::to_string(buffer_.size()) +
               " elements ahead of the slowest); retry");
         }
-        Element element;
-        bool eos = false;
-        IteratorContext ictx;
-        Status s = iterator_->GetNext(&ictx, &element, &eos);
-        if (!s.ok()) {
-          iter_status_ = s;
-          break;
-        }
-        if (eos) {
-          exhausted_ = true;
-          end_index_ = next_index_;
-          break;
-        }
-        buffer_.emplace(next_index_, std::move(element));
-        ++next_index_;
-      }
-      if (!iter_status_.ok()) return iter_status_;
-
-      if (exhausted_ && idx >= end_index_) {
-        AppendInt64(&resp, 1);  // end_of_epoch
-      } else {
-        auto it = buffer_.find(idx);
-        if (it == buffer_.end()) {
-          return Internal("element " + std::to_string(idx) +
-                          " missing from service buffer");
-        }
-        AppendInt64(&resp, 0);
-        AppendInt64(&resp, static_cast<int64_t>(it->second.size()));
-        for (const Tensor& t : it->second) t.AppendToBytes(&resp);
+        AppendInt64(&run, static_cast<int64_t>(it->second.size()));
+        for (const Tensor& t : it->second) t.AppendToBytes(&run);
         buffer_.erase(it);
-        ServedCounter()->Increment();
       }
+      ServedCounter()->Increment(count);
+      resp.reserve(2 * sizeof(int64_t) + run.size());
+      AppendInt64(&resp, count);
+      AppendInt64(&resp, end_of_epoch ? 1 : 0);
+      resp.append(run);
       cs.last_cursor = cursor;
-      cs.next_cursor = cursor + 1;
+      cs.next_cursor = cursor + count;
       cs.last_response = resp;
       // Elements this consumer skipped over (produced before a restart
       // advanced it past them) will never be requested again — drop them.
+      const int64_t first = cursor * n + consumer;
       for (auto it = buffer_.begin();
-           it != buffer_.end() && it->first < idx;) {
+           it != buffer_.end() && it->first < first;) {
         if (it->first % n == consumer) {
           it = buffer_.erase(it);
         } else {
@@ -225,10 +264,54 @@ void DataServiceServer::Shutdown() {
 DataServiceClient::DataServiceClient(int port, Options options)
     : options_(options), channel_("data-service", port) {}
 
+Status ParseGetElementResponse(const std::string& body, size_t* offset,
+                               std::deque<data::Element>* elements,
+                               bool* end_of_epoch) {
+  int64_t count = 0;
+  int64_t eoe = 0;
+  if (!ReadCount(body, offset, sizeof(int64_t), &count) ||
+      !ReadInt64(body, offset, &eoe) || (eoe != 0 && eoe != 1) ||
+      (count == 0 && eoe == 0)) {
+    return DataLoss("malformed GetElement response");
+  }
+  std::vector<Element> run(count);
+  for (Element& element : run) {
+    int64_t ncomponents = 0;
+    if (!ReadCount(body, offset, sizeof(int64_t), &ncomponents)) {
+      return DataLoss("malformed GetElement response");
+    }
+    element.reserve(ncomponents);
+    for (int64_t j = 0; j < ncomponents; ++j) {
+      Result<Tensor> t = Tensor::ParseFromBytes(body, offset);
+      if (!t.ok()) return t.status();
+      element.push_back(std::move(t.value()));
+    }
+  }
+  if (*offset != body.size()) {
+    return DataLoss("trailing bytes after GetElement response");
+  }
+  for (Element& element : run) elements->push_back(std::move(element));
+  *end_of_epoch = eoe != 0;
+  return Status::OK();
+}
+
 Status DataServiceClient::GetNext(data::Element* out, bool* end_of_epoch) {
   std::lock_guard<std::mutex> lock(call_mu_);
   out->clear();
   *end_of_epoch = false;
+  if (cancelled_.load()) return Cancelled("data service client cancelled");
+  if (buffer_.empty() && !end_of_epoch_) TF_RETURN_IF_ERROR(FetchRun());
+  if (buffer_.empty()) {
+    *end_of_epoch = true;
+    return Status::OK();
+  }
+  *out = std::move(buffer_.front());
+  buffer_.pop_front();
+  cursor_.fetch_add(1);
+  return Status::OK();
+}
+
+Status DataServiceClient::FetchRun() {
   const int64_t start_micros = metrics::NowMicros();
   const int64_t give_up_micros =
       start_micros +
@@ -237,60 +320,39 @@ Status DataServiceClient::GetNext(data::Element* out, bool* end_of_epoch) {
   std::string body;
   AppendInt64(&body, options_.consumer);
   AppendInt64(&body, cursor_.load());
+  AppendInt64(&body, kElementsPerCall);
 
   for (;;) {
     if (cancelled_.load()) return Cancelled("data service client cancelled");
     auto result = channel_.CallSync(rpc::Method::kGetElement, body,
                                     options_.call_deadline_seconds);
     Status s = result.status();
-    std::string rbody;
     size_t off = 0;
-    if (s.ok()) {
-      rbody = std::move(result.value());
-      Status app;
-      if (!rpc::ReadStatus(rbody, &off, &app)) {
-        s = DataLoss("malformed GetElement response");
-      } else {
-        s = app;
-      }
+    if (s.ok() && !rpc::ReadStatus(result.value(), &off, &s)) {
+      s = DataLoss("malformed GetElement response");
     }
     if (!s.ok()) {
-      if (s.code() == Code::kCancelled) return s;  // shut down, don't spin
-      if (s.IsRetryable() && metrics::NowMicros() < give_up_micros &&
-          !cancelled_.load()) {
-        // Covers the pipeline task being down entirely (Unavailable from a
-        // refused dial) and a slow element production (DeadlineExceeded) —
-        // the cursor is unchanged, so the eventual answer is the same
-        // element, possibly via the server's retransmit cache.
+      if (cancelled_.load()) {
+        return Cancelled("data service client cancelled");
+      }
+      // Retryable covers the pipeline task being down entirely
+      // (Unavailable from a refused dial or from a task shutting down under
+      // the request) and a slow run (DeadlineExceeded). A Cancelled this
+      // client did not ask for is a channel torn down under the call, just
+      // as transient. The cursor is unchanged, so the eventual answer is
+      // the same run, possibly via the server's retransmit cache.
+      if ((s.IsRetryable() || s.code() == Code::kCancelled) &&
+          metrics::NowMicros() < give_up_micros) {
         ClientRetriesCounter()->Increment();
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         continue;
       }
       return s;
     }
-
-    int64_t eoe = 0;
-    if (!ReadInt64(rbody, &off, &eoe)) {
-      return DataLoss("malformed GetElement response");
-    }
+    TF_RETURN_IF_ERROR(ParseGetElementResponse(result.value(), &off, &buffer_,
+                                               &end_of_epoch_));
     ClientWaitHistogram()->Record(
         static_cast<double>(metrics::NowMicros() - start_micros) / 1000.0);
-    if (eoe != 0) {
-      // Cursor intentionally not advanced: re-asking the same cursor keeps
-      // answering end-of-epoch from the retransmit cache.
-      *end_of_epoch = true;
-      return Status::OK();
-    }
-    int64_t ncomponents = 0;
-    if (!ReadCount(rbody, &off, sizeof(int64_t), &ncomponents)) {
-      return DataLoss("malformed GetElement response");
-    }
-    for (int64_t i = 0; i < ncomponents; ++i) {
-      auto t = Tensor::ParseFromBytes(rbody, &off);
-      if (!t.ok()) return t.status();
-      out->push_back(std::move(t.value()));
-    }
-    cursor_.fetch_add(1);
     return Status::OK();
   }
 }

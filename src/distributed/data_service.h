@@ -9,24 +9,36 @@
 // mapping is a pure function of (consumer, cursor) and production order, a
 // restarted pipeline task re-derives any element from a fresh iterator, and
 // a consumer that retries an unanswered cursor always gets the same
-// element.
+// elements.
 //
-// Exactly-once delivery: a consumer advances its cursor only after a
-// response arrives; the server caches the last response per consumer, so a
-// retry of the last cursor is answered by retransmission, never by
-// re-serving a fresh element to a different slot. Exactly-once
-// preprocessing holds on the failure-free path — each element is produced
-// (and its map fns run) once, no matter how many consumers pull.
+// Batched delivery: one GetElement call carries a run of consecutive
+// elements for the caller's cursor — cursors k, k+1, ..., k+count-1 — so a
+// consumer pays one round trip per run, not per element. The server fills
+// a run until it holds max_elements, the epoch ends, or the response passes
+// a fixed byte budget; it always sends at least one element unless the
+// epoch has ended or the request fails. When the max_ahead buffer fills
+// after some elements it returns the partial run; with none ready it
+// answers retryable Unavailable.
+//
+// Exactly-once delivery: a consumer advances its cursor past a run only
+// after the run arrives; the server caches the last response per
+// consumer, so a retry of the last cursor is answered by retransmitting
+// the whole run byte for byte, never by re-serving fresh elements to other
+// slots. Exactly-once preprocessing holds on the failure-free path — each
+// element is produced (and its map fns run) once, no matter how many
+// consumers pull. A request cut short by the server's own shutdown answers
+// retryable Unavailable, so consumers ride over a pipeline-task restart.
 //
 // Wire format (Method::kGetElement):
-//   request  body: [int64 consumer][int64 cursor]
-//   response body: [app Status][int64 end_of_epoch][int64 ncomponents]
-//                  [tensor bytes...]
+//   request  body: [int64 consumer][int64 cursor][int64 max_elements]
+//   response body: [app Status][int64 count][int64 end_of_epoch]
+//                  count x ([int64 ncomponents][tensor bytes...])
 
 #ifndef TFREPRO_DISTRIBUTED_DATA_SERVICE_H_
 #define TFREPRO_DISTRIBUTED_DATA_SERVICE_H_
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,22 +64,25 @@ class DataServiceHandler {
 
   struct Options {
     int num_consumers = 1;
-    // Bound on elements buffered for lagging consumers before a
-    // far-ahead consumer is pushed back with retryable Unavailable.
+    // Bound on elements buffered for lagging consumers: a far-ahead
+    // consumer's run stops there, and with nothing ready it is pushed
+    // back with retryable Unavailable.
     int64_t max_ahead = 1 << 14;
   };
 
   DataServiceHandler(IteratorFactory factory, Options options);
   ~DataServiceHandler();
 
-  // Serves one GetElement request body; `respond` is called exactly once
-  // (possibly inline) with the application status and response body.
+  // Serves one GetElement request body (a run of elements, see the wire
+  // format above); `respond` is called exactly once (possibly inline) with
+  // the application status and response body.
   void HandleGetElement(
       const std::string& body,
       const std::function<void(const Status&, const std::string&)>& respond);
 
-  // Fails future requests with Cancelled and unblocks a production pull in
-  // flight. Idempotent.
+  // Stops the service: unblocks a production pull in flight, and that
+  // request and every later one answer retryable Unavailable (the clients'
+  // cue to wait for a restarted task). Idempotent.
   void Cancel();
 
  private:
@@ -86,7 +101,7 @@ class DataServiceHandler {
   struct ConsumerState {
     int64_t next_cursor = 0;
     int64_t last_cursor = -1;
-    std::string last_response;  // serialized body, for retransmission
+    std::string last_response;  // serialized run, for retransmission
   };
   std::vector<ConsumerState> consumers_;
 };
@@ -109,9 +124,20 @@ class DataServiceServer {
   rpc::RpcServer server_;
 };
 
+// Parses a GetElement response body after its app Status, starting at
+// *offset: appends the run's elements to *elements and sets *end_of_epoch,
+// both only on success. DataLoss on anything but exactly one well-formed
+// response — truncation, counts the bytes cannot hold, end_of_epoch other
+// than 0/1, an empty run without end of epoch, or trailing bytes.
+Status ParseGetElementResponse(const std::string& body, size_t* offset,
+                               std::deque<data::Element>* elements,
+                               bool* end_of_epoch);
+
 // One training worker's view of the service: a blocking GetNext with
 // deadline/retry semantics over an RpcChannel (errno-mapped retryable
 // statuses, jittered reconnect backoff — the channel's own machinery).
+// Each GetElement call fetches a run of elements into a local buffer that
+// GetNext drains before it asks again.
 class DataServiceClient {
  public:
   struct Options {
@@ -125,21 +151,32 @@ class DataServiceClient {
 
   DataServiceClient(int port, Options options);
 
-  // Blocks until the element at the current cursor arrives (retrying
-  // transient failures), then advances the cursor.
+  // Hands out the next buffered element; with the buffer empty, blocks
+  // until the run at the current cursor arrives (retrying transient
+  // failures). End of epoch comes only after every buffered element, and
+  // stays: asking again answers end of epoch.
   Status GetNext(data::Element* out, bool* end_of_epoch);
 
-  // Fails a blocked GetNext (and all future ones) with Cancelled.
+  // Fails a blocked GetNext and all future ones with Cancelled, even with
+  // elements still buffered.
   void Cancel();
 
+  // Elements handed to the consumer so far (not elements received): the
+  // input position a checkpoint would record.
   int64_t cursor() const { return cursor_.load(); }
 
  private:
+  // One GetElement call for the run at cursor_, retried until it answers,
+  // the total deadline passes or Cancel is called.
+  Status FetchRun();
+
   const Options options_;
   rpc::RpcChannel channel_;
   std::atomic<int64_t> cursor_{0};
   std::atomic<bool> cancelled_{false};
   std::mutex call_mu_;  // serializes GetNext (single-consumer contract)
+  std::deque<data::Element> buffer_;  // received, not yet handed out
+  bool end_of_epoch_ = false;         // the server said the epoch ended
 };
 
 // Builds the record-file pipeline worker_main hosts when spawned as a

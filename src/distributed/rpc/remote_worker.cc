@@ -9,6 +9,7 @@
 #include "core/metrics.h"
 #include "distributed/fault_injector.h"
 #include "graph/graph_io.h"
+#include "graph/subgraph.h"
 #include "runtime/kernel.h"
 #include "runtime/tracing.h"
 
@@ -53,7 +54,16 @@ Status RemoteWorker::RegisterSubgraph(const std::string& handle,
       channel_.CallSync(Method::kRegisterSubgraph, body, rpc_deadline_seconds_);
   TF_RETURN_IF_ERROR(response.status());
   size_t offset = 0;
-  return ParseAppStatus(response.value(), &offset);
+  TF_RETURN_IF_ERROR(ParseAppStatus(response.value(), &offset));
+  NoteFetchSlots(handle, NumFetchSlots(*partition));
+  return Status::OK();
+}
+
+void RemoteWorker::NoteFetchSlots(const std::string& handle,
+                                  int64_t slots) const {
+  std::lock_guard<std::mutex> lock(fetch_slots_mu_);
+  int64_t& noted = fetch_slots_[handle];
+  noted = std::max(noted, slots);
 }
 
 void RemoteWorker::RunSubgraphsAsync(const std::string& handle,
@@ -95,7 +105,14 @@ void RemoteWorker::DispatchNow(const std::string& handle,
   AppendString(&body, handle);
   AppendInt64(&body, args.step_id);
   CallFrame* frame = args.call_frame;
-  const int64_t num_fetches = frame != nullptr ? frame->num_fetches() : 0;
+  // The worker allocates only the fetch slots its own partitions write;
+  // the reply names each slot, so they merge into the full frame here.
+  int64_t num_fetches = 0;
+  if (frame != nullptr) {
+    std::lock_guard<std::mutex> lock(fetch_slots_mu_);
+    auto it = fetch_slots_.find(handle);
+    if (it != fetch_slots_.end()) num_fetches = it->second;
+  }
   const std::vector<Tensor> empty_feeds;
   const std::vector<Tensor>& feeds =
       frame != nullptr ? frame->feeds() : empty_feeds;
@@ -241,7 +258,12 @@ bool RemoteWorker::HasSubgraphs(const std::string& handle) const {
   size_t offset = 0;
   if (!ParseAppStatus(response.value(), &offset).ok()) return false;
   int64_t has = 0;
-  if (!ReadInt64(response.value(), &offset, &has)) return false;
+  int64_t slots = 0;
+  if (!ReadInt64(response.value(), &offset, &has) ||
+      !ReadInt64(response.value(), &offset, &slots)) {
+    return false;
+  }
+  if (has != 0) NoteFetchSlots(handle, slots);
   return has != 0;
 }
 

@@ -13,7 +13,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/status.h"
@@ -62,6 +64,7 @@ class RemoteWorker : public WorkerInterface {
   void DispatchNow(const std::string& handle, const Executor::Args& args,
                    std::function<void(Status)> done);
   void PingNow(std::function<void(Status)> done);
+  void NoteFetchSlots(const std::string& handle, int64_t slots) const;
 
   const std::string job_;
   const int task_index_;
@@ -70,6 +73,12 @@ class RemoteWorker : public WorkerInterface {
   ThreadPool* delay_pool_;
   mutable RpcChannel channel_;
   std::atomic<int64_t> incarnation_{1};
+  // Per handle, the call-frame fetch slots this task's partitions write
+  // (NumFetchSlots): the count RunGraph asks the worker to allocate.
+  // Learned from RegisterSubgraph, or from HasSubgraphs when a restarted
+  // master re-adopts a registration.
+  mutable std::mutex fetch_slots_mu_;
+  mutable std::map<std::string, int64_t> fetch_slots_;
 };
 
 }  // namespace rpc

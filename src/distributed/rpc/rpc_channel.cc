@@ -41,8 +41,9 @@ std::vector<double> LatencyUsBuckets() {
 metrics::Histogram* CallLatencyHistogram(Method method) {
   static const auto* hists = []() {
     auto* a = new std::array<metrics::Histogram*,
-                             static_cast<size_t>(Method::kRecvTensor) + 1>{};
-    for (size_t m = 1; m < a->size(); ++m) {
+                             static_cast<size_t>(kLastMethod) + 1>{};
+    // Slot 0 is tagged "?" and collects method bytes no Method names.
+    for (size_t m = 0; m < a->size(); ++m) {
       (*a)[m] = metrics::Registry::Global()->GetHistogram(
           "rpc.call_latency_us", LatencyUsBuckets(),
           {{"method", MethodName(static_cast<Method>(m))}});
@@ -50,8 +51,7 @@ metrics::Histogram* CallLatencyHistogram(Method method) {
     return a;
   }();
   const size_t m = static_cast<size_t>(method);
-  return m < hists->size() && (*hists)[m] != nullptr ? (*hists)[m]
-                                                     : (*hists)[1];
+  return (*hists)[m < hists->size() ? m : 0];
 }
 
 }  // namespace
@@ -87,10 +87,10 @@ double RpcChannel::NextJitterFactor() {
 
 void RpcChannel::CloseConnLocked() {
   if (fd_ >= 0) {
-    // shutdown() first so a reader blocked in read() unblocks immediately;
-    // close() alone can leave it parked.
+    // shutdown() unblocks the connection's reader, which closes the fd on
+    // its way out. Closing it here instead could hand the number to the
+    // next dial while the old reader is between two reads of it.
     ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
     fd_ = -1;
   }
 }
@@ -250,6 +250,7 @@ void RpcChannel::ReaderLoop(int fd) {
         }
         // Otherwise a reset/shutdown already closed us and failed pending.
       }
+      ::close(fd);
       const Status err = Unavailable("connection to " + peer_ + " lost: " +
                                      frame.status().message());
       for (Pending& p : orphaned) p.done(err, std::string());

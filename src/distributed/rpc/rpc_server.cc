@@ -21,11 +21,12 @@ namespace {
 metrics::Histogram* ServerHandleHistogram(uint8_t method) {
   static const auto* hists = []() {
     auto* a = new std::array<metrics::Histogram*,
-                             static_cast<size_t>(Method::kRecvTensor) + 1>{};
+                             static_cast<size_t>(kLastMethod) + 1>{};
     std::vector<double> buckets = {10,     40,     160,     640,
                                    2560,   10240,  40960,   163840,
                                    655360, 2621440, 10485760};
-    for (size_t m = 1; m < a->size(); ++m) {
+    // Slot 0 is tagged "?" and collects method bytes no Method names.
+    for (size_t m = 0; m < a->size(); ++m) {
       (*a)[m] = metrics::Registry::Global()->GetHistogram(
           "rpc.server_handle_us", buckets,
           {{"method", MethodName(static_cast<Method>(m))}});
@@ -33,8 +34,7 @@ metrics::Histogram* ServerHandleHistogram(uint8_t method) {
     return a;
   }();
   const size_t m = method;
-  return m < hists->size() && (*hists)[m] != nullptr ? (*hists)[m]
-                                                     : (*hists)[1];
+  return (*hists)[m < hists->size() ? m : 0];
 }
 
 }  // namespace

@@ -121,7 +121,7 @@ void AppendTensorMeta(const Tensor& t, std::string* body,
 
 Result<int> ListenLocalhost(int port, int* bound_port) {
   IgnoreSigPipe();
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return StatusFromErrno(errno, "socket");
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -155,7 +155,7 @@ Result<int> ListenLocalhost(int port, int* bound_port) {
 
 Result<int> AcceptConnection(int listen_fd) {
   for (;;) {
-    int fd = ::accept(listen_fd, nullptr, nullptr);
+    int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd >= 0) {
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -168,7 +168,7 @@ Result<int> AcceptConnection(int listen_fd) {
 
 Result<int> ConnectLocalhost(int port, double timeout_seconds) {
   IgnoreSigPipe();
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return StatusFromErrno(errno, "socket");
   int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);

@@ -49,6 +49,9 @@ enum class Method : uint8_t {
   kGetElement = 9,
 };
 
+// The highest method number: per-method tables are sized from it.
+constexpr Method kLastMethod = Method::kGetElement;
+
 const char* MethodName(Method m);
 
 // One parsed frame.
@@ -81,6 +84,9 @@ void AppendTensorMeta(const Tensor& t, std::string* body,
                       const char** payload_data, size_t* payload_len);
 
 // --- sockets (localhost only) ---
+
+// Every socket below is created close-on-exec, so a spawned worker process
+// never inherits this process's listening or connected sockets.
 
 // Listening socket bound to 127.0.0.1:`port` (0 = ephemeral); the bound
 // port is returned in *bound_port.

@@ -8,6 +8,7 @@
 #include "distributed/data_service.h"
 #include "distributed/fault_injector.h"
 #include "graph/graph_io.h"
+#include "graph/subgraph.h"
 
 namespace tfrepro {
 namespace distributed {
@@ -167,6 +168,7 @@ Status WorkerService::Start(int port) {
         }
         std::string reply;
         AppendInt64(&reply, worker_.HasSubgraphs(handle) ? 1 : 0);
+        AppendInt64(&reply, std::max<int64_t>(0, FetchSlots(handle)));
         responder->Respond(Status::OK(), reply);
       });
   server_.RegisterHandler(
@@ -222,10 +224,22 @@ void WorkerService::HandleRegisterSubgraph(
     responder->Respond(graph.status(), std::string());
     return;
   }
-  responder->Respond(worker_.RegisterSubgraph(handle, segment,
-                                              std::move(graph.value()),
-                                              device_name),
-                     std::string());
+  const int64_t slots = NumFetchSlots(*graph.value());
+  Status status = worker_.RegisterSubgraph(handle, segment,
+                                           std::move(graph.value()),
+                                           device_name);
+  if (status.ok()) {
+    std::lock_guard<std::mutex> lock(fetch_slots_mu_);
+    int64_t& noted = fetch_slots_[handle];
+    noted = std::max(noted, slots);
+  }
+  responder->Respond(status, std::string());
+}
+
+int64_t WorkerService::FetchSlots(const std::string& handle) {
+  std::lock_guard<std::mutex> lock(fetch_slots_mu_);
+  auto it = fetch_slots_.find(handle);
+  return it != fetch_slots_.end() ? it->second : -1;
 }
 
 void WorkerService::HandleRunGraph(
@@ -259,10 +273,22 @@ void WorkerService::HandleRunGraph(
                        std::string());
     return;
   }
+  // The count sizes the call frame, so it may not exceed the fetch slots
+  // the handle's registered partitions write. An unknown handle gets an
+  // empty frame; the run then fails NotFound.
+  const int64_t slots = FetchSlots(handle);
+  if (slots >= 0 && num_fetches > slots) {
+    responder->Respond(
+        InvalidArgument("RunGraph asks for " + std::to_string(num_fetches) +
+                        " fetch slots; handle '" + handle + "' writes " +
+                        std::to_string(slots)),
+        std::string());
+    return;
+  }
 
   auto ctx = std::make_shared<StepCtx>();
-  ctx->frame = std::make_unique<CallFrame>(std::move(feeds),
-                                           static_cast<int>(num_fetches));
+  ctx->frame = std::make_unique<CallFrame>(
+      std::move(feeds), slots >= 0 ? static_cast<int>(num_fetches) : 0);
   ctx->rendezvous = std::make_shared<WorkerRendezvous>(
       &hub_, &recv_done_pool_, step_id, options_.rpc_deadline_seconds);
   ctx->args.step_id = step_id;

@@ -132,6 +132,8 @@ class WorkerService {
                               std::shared_ptr<RpcServer::Responder> responder);
   void HandleRunGraph(const std::string& body,
                       std::shared_ptr<RpcServer::Responder> responder);
+  // Fetch slots registered under `handle`; -1 when nothing is registered.
+  int64_t FetchSlots(const std::string& handle);
   void HandleCancelStep(const std::string& body,
                         std::shared_ptr<RpcServer::Responder> responder);
 
@@ -145,6 +147,11 @@ class WorkerService {
   TaskWorker worker_;
   RpcChannel hub_;
   RpcServer server_;
+
+  // Per registered handle, the call-frame fetch slots its partitions write
+  // (NumFetchSlots): the bound on RunGraph's fetch count.
+  std::mutex fetch_slots_mu_;
+  std::map<std::string, int64_t> fetch_slots_;
 
   std::mutex steps_mu_;
   // Signalled whenever a step finishes; the destructor waits on it so no

@@ -1,6 +1,8 @@
 #include "graph/subgraph.h"
 
+#include <algorithm>
 #include <deque>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -135,6 +137,20 @@ Status RewriteGraphForExecution(Graph* graph,
 
   PruneForReverseReachability(graph, std::move(roots));
   return Status::OK();
+}
+
+int64_t NumFetchSlots(const Graph& graph) {
+  int64_t slots = 0;
+  for (const Node* node : graph.nodes()) {
+    if (!node->IsOp("_Fetch")) continue;
+    const AttrValue* index = node->FindAttr("index");
+    // CallFrame counts slots in an int; an index beyond that is no slot.
+    if (index != nullptr && index->kind() == AttrValue::Kind::kInt &&
+        index->i() >= 0 && index->i() < std::numeric_limits<int>::max()) {
+      slots = std::max(slots, index->i() + 1);
+    }
+  }
+  return slots;
 }
 
 }  // namespace tfrepro

@@ -28,6 +28,11 @@ Status RewriteGraphForExecution(Graph* graph,
                                 const std::vector<std::string>& fetches,
                                 const std::vector<std::string>& targets);
 
+// The call-frame fetch slots `graph` writes: one past the largest _Fetch
+// index (indices outside [0, INT_MAX) name no slot), 0 when it has no
+// _Fetch node.
+int64_t NumFetchSlots(const Graph& graph);
+
 // Removes every node not reachable backwards from `roots` (following data
 // and control edges; NextIteration back edges are followed too, so whole
 // loops stay intact).

@@ -1,7 +1,7 @@
 // Tests for the core/bytes.h codec and a mutation fuzz over every decoder
 // built on it (DESIGN.md §11): Tensor::ParseFromBytes, attr values,
-// graphs, StepStats, rpc::ReadStatus, DecodeExample and the checkpoint
-// reader. Each decoder gets one or more valid encodings; every strict
+// graphs, StepStats, rpc::ReadStatus, DecodeExample, the data service's
+// GetElement request and response, and the checkpoint reader. Each decoder gets one or more valid encodings; every strict
 // prefix must be rejected, and every seeded mutation (int64 overwrites with
 // hostile counts at every offset, random byte flips) must either be
 // rejected or decode to a value that re-encodes to exactly the bytes it
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <functional>
 #include <random>
@@ -23,6 +24,8 @@
 #include "core/bytes.h"
 #include "core/tensor.h"
 #include "data/dataset.h"
+#include "data/record_file.h"
+#include "distributed/data_service.h"
 #include "distributed/rpc/wire.h"
 #include "graph/graph.h"
 #include "graph/graph_io.h"
@@ -520,6 +523,119 @@ TEST(CodecFuzzTest, Example) {
                 return true;
               },
               500);
+}
+
+void AppendElementRun(const std::vector<data::Element>& run,
+                      bool end_of_epoch, std::string* out) {
+  AppendInt64(out, static_cast<int64_t>(run.size()));
+  AppendInt64(out, end_of_epoch ? 1 : 0);
+  for (const data::Element& element : run) {
+    AppendInt64(out, static_cast<int64_t>(element.size()));
+    for (const Tensor& t : element) t.AppendToBytes(out);
+  }
+}
+
+TEST(CodecFuzzTest, GetElementResponse) {
+  Decoder decode = [](const std::string& in, size_t* consumed,
+                      std::string* out) {
+    std::deque<data::Element> run;
+    bool end_of_epoch = false;
+    if (!distributed::ParseGetElementResponse(in, consumed, &run,
+                                              &end_of_epoch)
+             .ok()) {
+      return false;
+    }
+    AppendElementRun({run.begin(), run.end()}, end_of_epoch, out);
+    return true;
+  };
+  const data::Element example = {Tensor::Vec<float>({0.5f, -2.0f}),
+                                 Tensor::Scalar(int64_t{7})};
+  const std::vector<std::pair<std::vector<data::Element>, bool>> cases = {
+      {{example, {Tensor::Vec<int32_t>({1, 2, 3})}}, false},
+      {{example}, true},           // the epoch ends partway through a run
+      {{}, true},                  // nothing left
+      {{data::Element{}}, false},  // an element with no components
+  };
+  uint64_t seed = 600;
+  for (const auto& [run, end_of_epoch] : cases) {
+    std::string bytes;
+    AppendElementRun(run, end_of_epoch, &bytes);
+    FuzzDecoder("run of " + std::to_string(run.size()), bytes, decode,
+                seed++);
+  }
+}
+
+TEST(CodecFuzzTest, GetElementRequest) {
+  // Mutated request bodies into a live handler: every one is answered
+  // exactly once, without a crash or throw; a strict prefix is malformed;
+  // whatever is answered OK parses as a response.
+  const std::string path = ::testing::TempDir() + "/codec_fuzz_records";
+  TF_CHECK_OK(data::WriteClusteredRecordFile(path, 10, /*num_classes=*/3,
+                                             /*dim=*/4, /*seed=*/17));
+  auto factory = distributed::RecordPipelineFactory(
+      {path}, "parse_example", /*parallelism=*/1,
+      {DataType::kFloat, DataType::kInt64}, /*repeat=*/1,
+      /*shuffle_buffer=*/0, /*seed=*/0);
+  TF_CHECK_OK(factory.status());
+  distributed::DataServiceHandler::Options options;
+  options.num_consumers = 2;
+  options.max_ahead = 4;
+  distributed::DataServiceHandler handler(factory.value(), options);
+
+  auto serve = [&](const std::string& body) {
+    int answers = 0;
+    Status status;
+    std::string resp;
+    try {
+      handler.HandleGetElement(body,
+                               [&](const Status& s, const std::string& r) {
+                                 ++answers;
+                                 status = s;
+                                 resp = r;
+                               });
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "threw " << e.what();
+    }
+    EXPECT_EQ(answers, 1);
+    if (status.ok()) {
+      std::deque<data::Element> run;
+      bool end_of_epoch = false;
+      size_t offset = 0;
+      EXPECT_TRUE(distributed::ParseGetElementResponse(resp, &offset, &run,
+                                                       &end_of_epoch)
+                      .ok());
+    }
+    return status;
+  };
+
+  std::string valid;
+  AppendInt64(&valid, 1);  // consumer
+  AppendInt64(&valid, 0);  // cursor
+  AppendInt64(&valid, 3);  // max_elements
+  TF_CHECK_OK(serve(valid));
+  for (size_t cut = 0; cut < valid.size(); ++cut) {
+    EXPECT_EQ(serve(valid.substr(0, cut)).code(), Code::kInvalidArgument)
+        << "cut at " << cut;
+  }
+  EXPECT_EQ(serve(valid + "x").code(), Code::kInvalidArgument);
+  const int64_t kHostile[] = {-1, 0, int64_t{1} << 31, int64_t{1} << 62,
+                              INT64_MAX};
+  for (size_t at = 0; at + sizeof(int64_t) <= valid.size(); ++at) {
+    for (int64_t v : kHostile) {
+      std::string m = valid;
+      std::memcpy(&m[at], &v, sizeof(v));
+      serve(m);
+    }
+  }
+  std::mt19937_64 rng(700);
+  for (int round = 0; round < 2000; ++round) {
+    std::string m = valid;
+    const int flips = 1 + static_cast<int>(rng() % 4);
+    for (int f = 0; f < flips; ++f) {
+      m[rng() % m.size()] ^= static_cast<char>(1 + rng() % 255);
+    }
+    serve(m);
+  }
 }
 
 std::string ReadFile(const std::string& path) {

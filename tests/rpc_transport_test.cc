@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cerrno>
+#include <fcntl.h>
 #include <unistd.h>
+
+#include <cerrno>
 #include <chrono>
+#include <condition_variable>
+#include <future>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -17,9 +21,14 @@
 #include "core/metrics.h"
 #include "core/status.h"
 #include "core/tensor.h"
+#include "distributed/rpc/remote_worker.h"
 #include "distributed/rpc/rpc_channel.h"
 #include "distributed/rpc/rpc_server.h"
 #include "distributed/rpc/wire.h"
+#include "distributed/rpc/worker_service.h"
+#include "graph/graph_builder.h"
+#include "graph/ops.h"
+#include "graph/subgraph.h"
 
 namespace tfrepro {
 namespace distributed {
@@ -209,6 +218,29 @@ TEST(FrameIoTest, FrameWithPayloadRoundTripsOverSocket) {
   ::close(listen_fd.value());
 }
 
+bool CloseOnExec(int fd) {
+  const int flags = ::fcntl(fd, F_GETFD);
+  return flags >= 0 && (flags & FD_CLOEXEC) != 0;
+}
+
+TEST(FrameIoTest, EverySocketIsCloseOnExec) {
+  // A worker process spawned by fork/exec must not inherit the master's
+  // listening or connected sockets.
+  int port = 0;
+  auto listen_fd = ListenLocalhost(0, &port);
+  ASSERT_TRUE(listen_fd.ok()) << listen_fd.status();
+  auto client = ConnectLocalhost(port, 2.0);
+  ASSERT_TRUE(client.ok()) << client.status();
+  auto server = AcceptConnection(listen_fd.value());
+  ASSERT_TRUE(server.ok()) << server.status();
+  EXPECT_TRUE(CloseOnExec(listen_fd.value()));
+  EXPECT_TRUE(CloseOnExec(client.value()));
+  EXPECT_TRUE(CloseOnExec(server.value()));
+  ::close(server.value());
+  ::close(client.value());
+  ::close(listen_fd.value());
+}
+
 // --- channel/server behaviour ---
 
 // An echo server: responds OK with the request body reversed.
@@ -394,6 +426,93 @@ TEST(RpcChannelTest, ShutdownFailsPendingCallsExactlyOnce) {
   }
   channel.reset();
   EXPECT_EQ(fired.load(), 1);
+}
+
+TEST(RpcMetricsTest, EveryMethodIsRecordedUnderItsOwnName) {
+  RpcServer server;
+  for (int m = 1; m <= static_cast<int>(kLastMethod); ++m) {
+    server.RegisterHandler(
+        static_cast<Method>(m),
+        [](const std::string&, std::shared_ptr<RpcServer::Responder> r) {
+          r->Respond(Status::OK(), std::string());
+        });
+  }
+  TF_CHECK_OK(server.Start(0));
+  RpcChannel channel("all-methods", server.port());
+  ASSERT_TRUE(channel.CallSync(Method::kPing, "warm", 5.0).ok());
+
+  metrics::Registry* registry = metrics::Registry::Global();
+  for (int m = 1; m <= static_cast<int>(kLastMethod); ++m) {
+    const Method method = static_cast<Method>(m);
+    const metrics::TagMap tag = {{"method", MethodName(method)}};
+    metrics::Histogram* call =
+        registry->GetHistogram("rpc.call_latency_us", {}, tag);
+    metrics::Histogram* handle =
+        registry->GetHistogram("rpc.server_handle_us", {}, tag);
+    const int64_t calls_before = call->count();
+    const int64_t handled_before = handle->count();
+    ASSERT_TRUE(channel.CallSync(method, "x", 5.0).ok()) << MethodName(method);
+    EXPECT_EQ(call->count(), calls_before + 1) << MethodName(method);
+    // The server records just before it writes the response, which the
+    // client may read first; wait for the record.
+    for (int i = 0; i < 1000 && handle->count() == handled_before; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(handle->count(), handled_before + 1) << MethodName(method);
+  }
+}
+
+TEST(WorkerServiceTest, RunGraphFetchCountBeyondRegisteredSlotsIsRejected) {
+  WorkerService::Options options;
+  options.job = "worker";
+  WorkerService service(options);
+  TF_CHECK_OK(service.Start(0));
+
+  // One partition fetching one constant: one fetch slot.
+  auto graph = std::make_unique<Graph>();
+  GraphBuilder b(graph.get());
+  Output c = ops::Const(&b, 2.5f);
+  TF_CHECK_OK(b.status());
+  TF_CHECK_OK(RewriteGraphForExecution(graph.get(), {}, {c.name()}, {}));
+  ASSERT_EQ(NumFetchSlots(*graph), 1);
+  RemoteWorker worker("worker", 0, service.port(), 5.0, nullptr, nullptr);
+  TF_CHECK_OK(worker.RegisterSubgraph("h", "seg", std::move(graph),
+                                      "/job:worker/task:0/device:CPU:0"));
+  ASSERT_TRUE(worker.HasSubgraphs("h"));
+
+  // The regular path: the master's frame gets the fetched value.
+  CallFrame frame({}, 1);
+  Executor::Args args;
+  args.step_id = 1;
+  args.call_frame = &frame;
+  std::promise<Status> ran;
+  worker.RunSubgraphsAsync("h", args, [&](Status s) { ran.set_value(s); });
+  TF_CHECK_OK(ran.get_future().get());
+  ASSERT_TRUE(frame.fetches()[0].IsInitialized());
+  EXPECT_EQ(frame.fetches()[0].flat<float>(0), 2.5f);
+
+  // Corrupt counts are answered, not allocated.
+  RpcChannel channel("worker", service.port());
+  for (int64_t count : {int64_t{1} << 31, (int64_t{1} << 31) - 1}) {
+    std::string body;
+    AppendString(&body, "h");
+    AppendInt64(&body, /*step_id=*/2);
+    AppendInt64(&body, count);  // num_fetches
+    AppendInt64(&body, 0);      // num_feeds
+    AppendInt64(&body, 0);      // traced
+    auto r = channel.CallSync(Method::kRunGraph, body, 5.0);
+    ASSERT_TRUE(r.ok()) << r.status();
+    size_t offset = 0;
+    Status app;
+    ASSERT_TRUE(ReadStatus(r.value(), &offset, &app));
+    EXPECT_EQ(app.code(), Code::kInvalidArgument) << count << ": " << app;
+  }
+  auto ping = channel.CallSync(Method::kPing, "", 5.0);
+  ASSERT_TRUE(ping.ok()) << ping.status();
+  size_t offset = 0;
+  Status app = Internal("unset");
+  ASSERT_TRUE(ReadStatus(ping.value(), &offset, &app));
+  EXPECT_TRUE(app.ok()) << app;
 }
 
 }  // namespace
